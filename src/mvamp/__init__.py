@@ -13,7 +13,7 @@ from .experiments import (AggregateResult, ExperimentConfig, ReplicateResult,
                           run_replicate, run_sweep, se_consistency_check)
 from .linalg import (ComposedSpectralOperator, DenseSymmetricOperator, RectOperator,
                      SparseCenteredOperator, SymmetricOperator, WeightedSumOperator,
-                     compose_spectral_operator, estimate_shift, power_iteration)
+                     compose_spectral_operator, leading_eigenpair)
 from .model import (CommunityLabels, CovariateModel, GaussianSurrogate, LayerParams,
                     RevelationMasks, SbmLayer, center_scale_layer, combine_layers,
                     lambda_from_rates, rates_from_lambda, sample_covariates,

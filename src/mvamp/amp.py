@@ -20,9 +20,10 @@ at the level predicted by state evolution.
 
 The denoiser coefficients come from a precomputed SeTrajectory.  Two
 initializations are supported: zero iterates with eps-revelation side
-information, and the practical spectral start (sqrt(n) times the leading
-eigenvector of S + a0 B^T B / p, weight a0 from the quartic trade-off
-equation solved by :func:`solve_a0`).
+information, and the practical spectral start: sqrt(n) times the leading
+eigenvector of S + a0 B^T B / p, found by Lanczos
+(:func:`mvamp.linalg.leading_eigenpair`), with the weight a0 from the
+quartic trade-off equation solved by :func:`solve_a0`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DivergenceError
-from .linalg import RectOperator, SymmetricOperator, compose_spectral_operator, power_iteration
+from .linalg import RectOperator, SymmetricOperator, compose_spectral_operator, leading_eigenpair
 from .model import RevelationMasks
 from .state_evolution import SeTrajectory
 
@@ -285,6 +286,6 @@ def spectral_initialize(sym_op: SymmetricOperator | None, b_op: RectOperator | N
     signal, and no symmetric operator when the networks carry none.
     """
     op = compose_spectral_operator(sym_op, b_op, a0)
-    _, vec = power_iteration(op, shift=None, tol=tol, max_iter=max_iter, rng=rng)
+    _, vec = leading_eigenpair(op, tol=tol, max_iter=max_iter, rng=rng)
     scaled = np.sqrt(op.n) * vec
     return scaled.copy(), scaled.copy()

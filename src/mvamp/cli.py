@@ -206,7 +206,8 @@ def svg_plot(path: Path, x: np.ndarray, theory: np.ndarray, mean: np.ndarray,
         band_y = np.concatenate([(mean + sd)[finite], (mean - sd)[finite][::-1]])
         parts.append(f'<polygon points="{poly(band_x, band_y)}" fill="#9ecae1" '
                      f'fill-opacity="0.45" stroke="none"/>')
-    parts.append(f'<polyline points="{poly(xs, theory)}" fill="none" '
+    has_theory = np.isfinite(theory)
+    parts.append(f'<polyline points="{poly(xs[has_theory], theory[has_theory])}" fill="none" '
                  f'stroke="#d62728" stroke-width="2"/>')
     if finite.any():
         for a, b in zip(xs[finite], mean[finite]):
@@ -357,7 +358,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "se-init": se_init, "threads": threads, "out-dir": out})
     n_err = sum(len(a.errors) for a in aggs)
     print(f"wrote {out / 'results.csv'} ({len(rows)} grid points, "
-          f"{n_err} failed replicates)")
+          f"{n_err} errors recorded)")
     return 2 if n_err else 0
 
 

@@ -256,8 +256,9 @@ def run_replicate(cfg: ExperimentConfig, point_index: int, rep_index: int) -> Re
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[AggregateResult]:
-    """All grid points with replication; per-point errors are recorded and
-    the sweep continues.  Output order follows the grid, independent of the
+    """All grid points with replication; per-point errors, a failed theory
+    column included (its theory_mmse is then NaN), are recorded and the
+    sweep continues.  Output order follows the grid, independent of the
     execution schedule."""
     tasks = [(i, r) for i in range(len(cfg.grid)) for r in range(cfg.replicates)]
     results: dict[tuple[int, int], ReplicateResult] = {}
@@ -284,13 +285,19 @@ def run_sweep(cfg: ExperimentConfig) -> list[AggregateResult]:
     aggregates = []
     for i, value in enumerate(cfg.grid):
         lam, mu = cfg.point(value)
+        errors = []
+        try:
+            theory_mmse = limit_mmse(lam, mu, cfg.c)
+        except MvampError as exc:
+            theory_mmse = np.nan
+            errors.append(f"theory: {type(exc).__name__}: {exc}")
         agg = AggregateResult(
             family=cfg.family, n=cfg.n, p=cfg.p, lam=lam, mu=mu, c=cfg.c,
-            replicates=cfg.replicates,
-            theory_mmse=limit_mmse(lam, mu, cfg.c),
+            replicates=cfg.replicates, theory_mmse=theory_mmse,
             detectable=detection_possible(lam, mu, cfg.c))
         point_results = [results[(i, r)] for r in range(cfg.replicates) if (i, r) in results]
-        agg.errors = [failures[(i, r)] for r in range(cfg.replicates) if (i, r) in failures]
+        agg.errors = errors + [failures[(i, r)] for r in range(cfg.replicates)
+                               if (i, r) in failures]
         if point_results:
             mses = np.array([r.empirical_mse for r in point_results])
             agg.mean_mse = float(mses.mean())

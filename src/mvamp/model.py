@@ -224,6 +224,11 @@ class CovariateModel:
         return self.B - np.sqrt(self.mu / self.n) * np.outer(self.v_star, x_star.x_star)
 
 
+# Rows of the covariate matrix that receive the spike per block; a block's
+# temporary is _SPIKE_ROWS x n.
+_SPIKE_ROWS = 256
+
+
 def sample_covariates(x_star: CommunityLabels, mu: float, p: int, rng) -> CovariateModel:
     """Sample the spike v* ~ N(0, I_p) and the p x n covariate matrix."""
     if mu < 0.0:
@@ -234,7 +239,12 @@ def sample_covariates(x_star: CommunityLabels, mu: float, p: int, rng) -> Covari
     n = x_star.n
     v_star = rng.standard_normal(p)
     B = rng.standard_normal((p, n))
-    B += np.sqrt(mu / n) * np.outer(v_star, x_star.x_star)
+    # Add the spike a block of rows at a time, so no p x n temporary is made.
+    # x* is +-1, so every entry equals the full outer-product formula's bit
+    # for bit.
+    scaled_v = np.sqrt(mu / n) * v_star
+    for i in range(0, p, _SPIKE_ROWS):
+        B[i:i + _SPIKE_ROWS] += np.multiply.outer(scaled_v[i:i + _SPIKE_ROWS], x_star.x_star)
     return CovariateModel(mu=float(mu), v_star=v_star, B=B)
 
 

@@ -114,6 +114,21 @@ class TestRunSweep:
         assert aggs[1].lam == 2.0 and aggs[1].mu == 1.5
 
 
+    def test_failed_theory_point_is_recorded(self):
+        # just above the threshold the fixed-point iteration hits its cap;
+        # that row records the failure and the other rows are kept
+        lam_edge = 1.0 - 0.81 / (5.0 / 3.0) + 1e-4
+        cfg = ExperimentConfig(family="gaussian", n=200, p=120, sweep_param="lambda",
+                               grid=(lam_edge, 3.0), fixed_value=0.9, replicates=1,
+                               n_iter=5)
+        edge, strong = run_sweep(cfg)
+        assert np.isnan(edge.theory_mmse)
+        assert len(edge.errors) == 1 and "ConvergenceError" in edge.errors[0]
+        assert np.isfinite(edge.mean_mse)
+        assert strong.errors == []
+        assert strong.theory_mmse == limit_mmse(3.0, 0.9, cfg.c)
+
+
 class TestConfigValidation:
     def test_family_and_sweep_checks(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from mvamp.exceptions import ConvergenceError
+from mvamp.amp import solve_a0
 from mvamp.linalg import (ComposedSpectralOperator, DenseSymmetricOperator,
                           RectOperator, SparseCenteredOperator, WeightedSumOperator,
-                          compose_spectral_operator, estimate_shift, power_iteration)
-from mvamp.model import (center_scale_layer, rates_from_lambda, sample_labels,
-                         sample_sbm_layer, substream)
+                          compose_spectral_operator, leading_eigenpair)
+from mvamp.model import (center_scale_layer, rates_from_lambda, sample_covariates,
+                         sample_gaussian_surrogate, sample_labels, sample_sbm_layer,
+                         substream)
 
 
 def random_symmetric(n, seed, scale=1.0):
@@ -54,25 +56,25 @@ class TestOperatorProbes:
         assert abs(w @ b_op.apply(v) - b_op.apply_t(w) @ v) < 1e-10
 
 
-class TestPowerIteration:
+class TestLeadingEigenpair:
     def test_identity_operator(self):
         op = DenseSymmetricOperator(np.eye(5))
-        theta, v = power_iteration(op, shift=0.0, tol=1e-10, rng=0)
+        theta, v = leading_eigenpair(op, tol=1e-10, rng=0)
         assert abs(theta - 1.0) < 1e-10
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         assert np.linalg.norm(op.matvec(v) - theta * v) < 1e-10
 
-    def test_diagonal_with_shift(self):
+    def test_diagonal_with_sign_convention(self):
         op = DenseSymmetricOperator(np.diag([3.0, 1.0, 0.0]))
-        theta, v = power_iteration(op, shift=1.0, tol=1e-12, rng=1)
+        theta, v = leading_eigenpair(op, tol=1e-12, rng=1)
         assert abs(theta - 3.0) < 1e-10
         np.testing.assert_allclose(np.abs(v), [1.0, 0.0, 0.0], atol=1e-6)
         assert v[0] > 0  # sign convention: largest-magnitude coordinate positive
 
     def test_dominant_negative_eigenvalue(self):
-        # default shift must still find the algebraically largest eigenvalue
+        # the algebraically largest eigenvalue, not the largest in magnitude
         op = DenseSymmetricOperator(np.diag([-5.0, 2.0, 1.0]))
-        theta, v = power_iteration(op, tol=1e-12, rng=2)
+        theta, v = leading_eigenpair(op, tol=1e-12, rng=2)
         assert abs(theta - 2.0) < 1e-9
         assert abs(abs(v[1]) - 1.0) < 1e-6
 
@@ -83,8 +85,7 @@ class TestPowerIteration:
             # plant a strong positive direction so the top eigenpair is simple
             x = rng.choice([-1.0, 1.0], n)
             m += 3.0 * np.outer(x, x) / n
-            op = DenseSymmetricOperator(m)
-            theta, v = power_iteration(op, tol=1e-12, rng=6, max_iter=100_000)
+            theta, v = leading_eigenpair(DenseSymmetricOperator(m), tol=1e-12, rng=6)
             w, vecs = np.linalg.eigh(m)
             assert abs(theta - w[-1]) < 1e-9
             top = vecs[:, -1]
@@ -95,44 +96,51 @@ class TestPowerIteration:
         for n in (5, 12, 30):
             x = rng.choice([-1.0, 1.0], n)
             m = np.outer(x, x) / np.sqrt(n)
-            theta, v = power_iteration(DenseSymmetricOperator(m), tol=1e-12, rng=56)
+            theta, v = leading_eigenpair(DenseSymmetricOperator(m), tol=1e-12, rng=56)
             w, vecs = np.linalg.eigh(m)
             assert abs(theta - w[-1]) < 1e-10  # top eigenvalue n / sqrt(n)
             assert abs(theta - np.sqrt(n)) < 1e-10
             top = vecs[:, -1]
             assert min(np.linalg.norm(v - top), np.linalg.norm(v + top)) < 1e-8
 
+    def test_no_gap_spectral_operator_vs_dense_eigensolver(self):
+        # gaussian lambda = mu = 0.5 lies below the detection threshold, so
+        # the top of the spectrum is a bulk edge with no gap
+        n, p, lam, mu = 400, 240, 0.5, 0.5
+        labels = sample_labels(n, substream(40, 0))
+        cov = sample_covariates(labels, mu, p, substream(40, 1))
+        surr = sample_gaussian_surrogate(labels, lam, substream(40, 2))
+        a0 = solve_a0(lam, mu, n / p)
+        op = compose_spectral_operator(
+            DenseSymmetricOperator(surr.T, denom=np.sqrt(n)), RectOperator(cov.B), a0)
+        theta, v = leading_eigenpair(op, tol=1e-10, rng=41)
+        w, vecs = np.linalg.eigh(surr.T / np.sqrt(n) + a0 * (cov.B.T @ cov.B) / p)
+        assert abs(theta - w[-1]) < 1e-8
+        assert abs(v @ vecs[:, -1]) >= 1.0 - 1e-6
+
     def test_residual_contract(self):
         tol = 1e-9
-        m = random_symmetric(40, 7, scale=0.1)
-        op = DenseSymmetricOperator(m)
-        theta, v = power_iteration(op, tol=tol, rng=8, max_iter=200_000)
+        op = DenseSymmetricOperator(random_symmetric(40, 7, scale=0.1))
+        theta, v = leading_eigenpair(op, tol=tol, rng=8)
         assert np.linalg.norm(op.matvec(v) - theta * v) <= 10 * tol * max(1.0, abs(theta))
+
+    def test_residual_checked_after_the_solve(self):
+        # Lanczos assumes symmetry; on a triangular matrix its own estimate
+        # claims convergence, and the recomputed residual catches it
+        m = 3.0 * np.triu(np.random.default_rng(0).standard_normal((30, 30)))
+        with pytest.raises(ConvergenceError) as err:
+            leading_eigenpair(DenseSymmetricOperator(m), tol=1e-8, rng=0)
+        assert err.value.residual > 1e-7
 
     def test_nonconvergence_raises(self):
         op = DenseSymmetricOperator(random_symmetric(60, 9))
         with pytest.raises(ConvergenceError) as err:
-            power_iteration(op, tol=1e-14, max_iter=3, rng=10)
-        assert err.value.iterations == 3
+            leading_eigenpair(op, tol=1e-14, max_iter=1, rng=10)
+        assert err.value.iterations == 1
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            power_iteration(DenseSymmetricOperator(np.eye(3)), tol=0.0)
-
-
-class TestEstimateShift:
-    def test_bounds_negative_extreme(self):
-        op = DenseSymmetricOperator(np.diag([-4.0, 1.0, 0.5]))
-        s = estimate_shift(op, rng=0)
-        assert s >= 4.0  # at least the spectral radius
-
-    def test_moderate_for_random_matrix(self):
-        n = 300
-        op = DenseSymmetricOperator(random_symmetric(n, 11, scale=1.0 / np.sqrt(2 * n)))
-        s = estimate_shift(op, rng=1)
-        # spectral radius of this normalization is about 2; the estimate
-        # stays within a small constant of it rather than growing with n
-        assert 1.0 < s < 6.0
+            leading_eigenpair(DenseSymmetricOperator(np.eye(3)), tol=0.0)
 
 
 class TestComposeSpectralOperator:

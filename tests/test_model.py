@@ -166,6 +166,18 @@ class TestCovariates:
         b = sample_covariates(lab, 1.0, 80, substream(9, 1))
         np.testing.assert_array_equal(a.B, b.B)
 
+    def test_matches_outer_product_formula(self):
+        # the spike is added in row blocks; p = 600 spans a partial last block
+        n, p = 37, 600
+        lab = sample_labels(n, substream(9, 4))
+        for mu in (0.0, 0.5, 0.9, 3.0):
+            cov = sample_covariates(lab, mu, p, substream(9, 5))
+            rng = substream(9, 5)
+            v_star = rng.standard_normal(p)
+            B = rng.standard_normal((p, n))
+            B += np.sqrt(mu / n) * np.outer(v_star, lab.x_star)
+            assert cov.B.tobytes() == B.tobytes()
+
     def test_aspect_ratio(self):
         lab = sample_labels(60, substream(9, 2))
         cov = sample_covariates(lab, 1.0, 80, substream(9, 3))
