@@ -78,6 +78,15 @@ class TestLeadingEigenpair:
         assert abs(theta - 2.0) < 1e-9
         assert abs(abs(v[1]) - 1.0) < 1e-6
 
+    def test_negative_extreme_past_spectral_radius(self):
+        # the most negative eigenvalue sets the spectral radius (4), yet the
+        # returned pair is the top of the spectrum, beside a close second
+        op = DenseSymmetricOperator(np.diag([-4.0, 1.0, 0.5]))
+        theta, v = leading_eigenpair(op, tol=1e-12, rng=0)
+        assert abs(theta - 1.0) < 1e-9
+        np.testing.assert_allclose(np.abs(v), [0.0, 1.0, 0.0], atol=1e-6)
+        assert np.linalg.norm(op.matvec(v) - theta * v) < 1e-9
+
     def test_against_dense_eigensolver(self):
         rng = np.random.default_rng(5)
         for n in (8, 17, 30):
