@@ -8,9 +8,9 @@ from .amp import (AmpRun, AmpState, DenoiserParams, amp_step, denoise_f, denoise
                   init_spectral, init_zero, onsager_coeffs, run_amp, solve_a0,
                   spectral_initialize)
 from .exceptions import ConvergenceError, DivergenceError, InfeasibleSnrError, MvampError
-from .experiments import (AggregateResult, ExperimentConfig, ReplicateResult,
-                          SeCheckReport, empirical_mse, empirical_overlap,
-                          run_replicate, run_sweep, se_consistency_check)
+from .experiments import (AggregateResult, ExperimentConfig, ReplicateInstance,
+                          ReplicateResult, SeCheckReport, draw_instance, empirical_mse,
+                          empirical_overlap, run_replicate, run_sweep, se_consistency_check)
 from .linalg import (ComposedSpectralOperator, DenseSymmetricOperator, RectOperator,
                      SparseCenteredOperator, SymmetricOperator, WeightedSumOperator,
                      compose_spectral_operator, leading_eigenpair)

@@ -11,14 +11,15 @@ Three subcommands:
   per-step state-evolution prediction.
 
 Settings may come from an INI-style config file (one section per
-subcommand plus ``[common]``); command-line flags override file values,
-and the effective configuration is echoed into the output directory.
+subcommand plus ``[common]``, whose keys apply to every subcommand that
+reads them); command-line flags override file values, and the effective
+configuration is echoed into the output directory.
 Wall-clock times are written to a separate ``timings.csv`` so that every
 value-bearing CSV is byte-identical across reruns with the same seed.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or convergence failure.
 The default thread count can be set with the ``MVAMP_THREADS`` environment
-variable.
+variable; a value that is not a positive integer is a usage error.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import MvampError
-from .experiments import ExperimentConfig, run_sweep, se_consistency_check
-from .model import (rates_from_lambda, sample_covariates, sample_labels,
-                    sample_revelation, sample_sbm_layer, substream, write_covariates_csv,
-                    write_edge_list, write_labels_csv)
+from .experiments import ExperimentConfig, draw_instance, run_sweep, se_consistency_check
+from .model import write_covariates_csv, write_edge_list, write_labels_csv
 from .state_evolution import SeConfig, detection_possible, fixed_point_z, limit_mmse, xi_limit
 
 __all__ = ["main"]
@@ -93,18 +92,16 @@ def parse_grid(spec: str, name: str) -> tuple[float, ...]:
 # ----------------------------------------------------------------------
 # Config file handling: defaults < file < flags.
 
-def _load_config(path: str | None, section: str) -> dict[str, str]:
+def _load_config(path: str | None, section: str) -> tuple[dict[str, str], dict[str, str]]:
+    """The ``[common]`` and the subcommand's own section of a config file."""
     if path is None:
-        return {}
+        return {}, {}
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise UsageError(f"config file not found: {path}")
-    values: dict[str, str] = {}
-    for sec in ("common", section):
-        if parser.has_section(sec):
-            values.update(dict(parser.items(sec)))
-    return values
+    return tuple(dict(parser.items(sec)) if parser.has_section(sec) else {}
+                 for sec in ("common", section))
 
 
 class Settings:
@@ -112,17 +109,17 @@ class Settings:
 
     def __init__(self, args: argparse.Namespace, section: str):
         self._args = vars(args)
-        self._file = _load_config(self._args.get("config"), section)
+        self._common, self._own = _load_config(self._args.get("config"), section)
         self._known_keys = set()
 
     def get(self, key: str, default, cast):
-        """Flag value if given, else file value, else default."""
+        """Flag if given, else own section, else ``[common]``, else default."""
         self._known_keys.add(key)
         flag = self._args.get(key.replace("-", "_"))
         if flag is not None:
             return flag
-        if key in self._file:
-            raw = self._file[key]
+        raw = self._own.get(key, self._common.get(key))
+        if raw is not None:
             try:
                 if cast is bool:
                     if raw.lower() not in ("true", "false", "1", "0", "yes", "no"):
@@ -134,15 +131,16 @@ class Settings:
         return default
 
     def reject_unknown(self):
-        unknown = set(self._file) - self._known_keys
+        """A section key this subcommand does not read, or a ``[common]`` key
+        that no subcommand reads, is a usage error."""
+        unknown = (set(self._own) - self._known_keys) | (
+            set(self._common) - self._args["config_keys"])
         if unknown:
             raise UsageError(f"unknown config key '{sorted(unknown)[0]}'")
 
 
 def _echo_config(out_dir: Path, section: str, pairs: dict) -> None:
-    lines = [f"[{section}]"]
-    for k, v in pairs.items():
-        lines.append(f"{k} = {v}")
+    lines = [f"[{section}]"] + [f"{k} = {v}" for k, v in pairs.items()]
     (out_dir / "config_used.ini").write_text("\n".join(lines) + "\n")
 
 
@@ -153,22 +151,14 @@ def _out_dir(settings: Settings) -> Path:
 
 
 def _threads_default() -> int:
-    env = os.environ.get("MVAMP_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+    env = os.environ.get("MVAMP_THREADS", "").strip() or "1"
+    if not env.isdecimal() or int(env) < 1:
+        raise UsageError(f"MVAMP_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 # ----------------------------------------------------------------------
 # Minimal SVG line plots (axes, polyline, shaded band, points).
-
-def _ticks(lo: float, hi: float, k: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, k)
-    return [float(v) for v in raw]
-
 
 def svg_plot(path: Path, x: np.ndarray, theory: np.ndarray, mean: np.ndarray,
              sd: np.ndarray, xlabel: str, title: str) -> None:
@@ -217,12 +207,12 @@ def svg_plot(path: Path, x: np.ndarray, theory: np.ndarray, mean: np.ndarray,
     parts.append(f'<line x1="{ml}" y1="{H-mb}" x2="{W-mr}" y2="{H-mb}" '
                  f'stroke="black"/>')
     parts.append(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{H-mb}" stroke="black"/>')
-    for tv in _ticks(lo_x, hi_x):
+    for tv in np.linspace(lo_x, hi_x, 5):
         parts.append(f'<line x1="{X(tv):.2f}" y1="{H-mb}" x2="{X(tv):.2f}" '
                      f'y2="{H-mb+5}" stroke="black"/>')
         parts.append(f'<text x="{X(tv):.2f}" y="{H-mb+20}" text-anchor="middle" '
                      f'font-size="11" font-family="sans-serif">{tv:.3g}</text>')
-    for tv in _ticks(lo_y, hi_y):
+    for tv in np.linspace(lo_y, hi_y, 5):
         parts.append(f'<line x1="{ml-5}" y1="{Y(tv):.2f}" x2="{ml}" y2="{Y(tv):.2f}" '
                      f'stroke="black"/>')
         parts.append(f'<text x="{ml-9}" y="{Y(tv)+4:.2f}" text-anchor="end" '
@@ -279,17 +269,11 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 def _export_instance(cfg: ExperimentConfig, out: Path) -> None:
     """Dump the first grid point's first replicate as portable text files."""
-    lam, mu = cfg.point(cfg.grid[0])
-    labels = sample_labels(cfg.n, substream(cfg.seed, 0, 0, 0))
-    cov = sample_covariates(labels, mu, cfg.p, substream(cfg.seed, 0, 0, 1))
-    write_labels_csv(labels, out / "labels.csv")
-    write_covariates_csv(cov, out / "covariates.csv")
-    if cfg.family in ("contextual-sbm", "multilayer"):
-        fractions = cfg.r_fractions if cfg.family == "multilayer" else (1.0,)
-        coeffs = cfg.p_bar_coeffs if cfg.family == "multilayer" else cfg.p_bar_coeffs[:1]
-        for i, (r_i, coeff) in enumerate(zip(fractions, coeffs)):
-            params = rates_from_lambda(r_i * lam, coeff / np.sqrt(cfg.n), cfg.n)
-            layer = sample_sbm_layer(labels, params, substream(cfg.seed, 0, 0, 10 + i))
+    inst = draw_instance(cfg, 0, 0)
+    write_labels_csv(inst.labels, out / "labels.csv")
+    write_covariates_csv(inst.covariates, out / "covariates.csv")
+    if cfg.family != "gaussian":
+        for i, layer in enumerate(inst.network):
             write_edge_list(layer, out / f"layer_{i}_edges.txt")
 
 
@@ -399,12 +383,13 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="{theory,simulate,se-check}")
 
-    def common(sp):
+    def common(sp, seeded=True):
         sp.add_argument("--config", help="INI config file; flags override its values")
         sp.add_argument("--out-dir", help="output directory (default mvamp-out)")
-        sp.add_argument("--seed", type=int, help="root seed (default 0)")
-        sp.add_argument("--threads", type=int,
-                        help="worker threads (default: MVAMP_THREADS or 1)")
+        if seeded:
+            sp.add_argument("--seed", type=int, help="root seed (default 0)")
+            sp.add_argument("--threads", type=int,
+                            help="worker threads (default: MVAMP_THREADS or 1)")
 
     th = sub.add_parser("theory", help="tabulate closed-form limits over a grid")
     th.add_argument("--lambda-grid",
@@ -412,7 +397,7 @@ def build_parser() -> _Parser:
     th.add_argument("--mu-grid", help="covariate strengths: same syntax (required)")
     th.add_argument("--c", type=float, help="subjects-per-feature ratio n/p (required)")
     th.add_argument("--eps", type=float, help="revelation fraction for z_star (default 0)")
-    common(th)
+    common(th, seeded=False)
     th.set_defaults(func=cmd_theory)
 
     si = sub.add_parser("simulate", help="Monte-Carlo sweep for one model family")
@@ -459,6 +444,10 @@ def build_parser() -> _Parser:
     se.add_argument("--replicates", type=int, help="replicates (default 10)")
     common(se)
     se.set_defaults(func=cmd_se_check)
+
+    # A [common] config key is valid when some subcommand has that flag.
+    keys = {action.dest.replace("_", "-") for sp in (th, si, se) for action in sp._actions}
+    parser.set_defaults(config_keys=keys - {"config", "help"})
     return parser
 
 

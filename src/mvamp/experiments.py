@@ -1,6 +1,7 @@
 """Monte-Carlo harness: replicate pipelines, sweeps, and tracking checks.
 
-A replicate samples one instance of a model family, builds the operators,
+A replicate samples one instance of a model family (:func:`draw_instance`,
+also behind ``mvamp simulate --export-instance``), builds the operators,
 initializes (spectral or revelation), runs the iteration, and reports the
 matrix mean square error and the sign overlap.  Sweeps repeat that over a
 parameter grid with i.i.d. replicates per point and attach the theoretical
@@ -30,18 +31,21 @@ import numpy as np
 from .amp import init_spectral, init_zero, run_amp, solve_a0, spectral_initialize
 from .exceptions import MvampError
 from .linalg import DenseSymmetricOperator, RectOperator
-from .model import (CommunityLabels, center_scale_layer, combine_layers,
-                    rates_from_lambda, sample_covariates, sample_gaussian_surrogate,
-                    sample_labels, sample_revelation, sample_sbm_layer, substream)
+from .model import (CommunityLabels, CovariateModel, GaussianSurrogate, RevelationMasks,
+                    SbmLayer, center_scale_layer, combine_layers, rates_from_lambda,
+                    sample_covariates, sample_gaussian_surrogate, sample_labels,
+                    sample_revelation, sample_sbm_layer, substream)
 from .state_evolution import SeConfig, detection_possible, limit_mmse, se_run
 
 __all__ = [
     "ExperimentConfig",
+    "ReplicateInstance",
     "ReplicateResult",
     "AggregateResult",
     "SeCheckReport",
     "empirical_mse",
     "empirical_overlap",
+    "draw_instance",
     "run_replicate",
     "run_sweep",
     "se_consistency_check",
@@ -108,8 +112,6 @@ class ExperimentConfig:
     r_fractions: tuple[float, ...] = (1.0,)
     p_bar_coeffs: tuple[float, ...] = (0.7,)
     se_init_mode: str = "deterministic-z1"
-    se_init_interval: tuple[float, float] = (4.0, 10.0)
-    early_stop_tol: float | None = None
     threads: int = 1
 
     def __post_init__(self):
@@ -180,79 +182,105 @@ class AggregateResult:
     errors: list[str] = field(default_factory=list)
 
 
-def _build_sym_op(cfg: ExperimentConfig, labels: CommunityLabels, lam: float,
-                  point_index: int, rep_index: int):
+@dataclass(frozen=True)
+class ReplicateInstance:
+    """The sampled data of one replicate; ``network`` is the dense surrogate
+    (``gaussian`` family) or the list of sampled layers."""
+
+    labels: CommunityLabels
+    covariates: CovariateModel
+    network: GaussianSurrogate | list[SbmLayer]
+    masks: RevelationMasks
+
+
+def _layer_specs(cfg: ExperimentConfig) -> list[tuple[float, float]]:
+    """(strength fraction r_i, density coefficient) of each network layer."""
+    if cfg.family == "multilayer":
+        return list(zip(cfg.r_fractions, cfg.p_bar_coeffs))
+    return [(1.0, cfg.p_bar_coeffs[0])]
+
+
+def draw_instance(cfg: ExperimentConfig, point_index: int,
+                  rep_index: int) -> ReplicateInstance:
+    """Sample the instance of one replicate, each object from its own substream."""
     n = cfg.n
+    lam, mu = cfg.point(cfg.grid[point_index])
+
+    def rng(tag):
+        return substream(cfg.seed, point_index, rep_index, tag)
+
+    labels = sample_labels(n, rng(_STREAM_LABELS))
+    cov = sample_covariates(labels, mu, cfg.p, rng(_STREAM_COVARIATES))
     if cfg.family == "gaussian":
-        surr = sample_gaussian_surrogate(
-            labels, lam, substream(cfg.seed, point_index, rep_index, _STREAM_SURROGATE))
-        return DenseSymmetricOperator(surr.T, denom=float(np.sqrt(n)))
-    ops = []
-    fractions = cfg.r_fractions if cfg.family == "multilayer" else (1.0,)
-    coeffs = cfg.p_bar_coeffs if cfg.family == "multilayer" else cfg.p_bar_coeffs[:1]
-    for i, (r_i, coeff) in enumerate(zip(fractions, coeffs)):
-        p_bar = coeff / np.sqrt(n)
-        if n * p_bar < 10.0:
-            warnings.warn(
-                f"layer {i}: average degree {n * p_bar:.2f} < 10; the "
-                "dense-limit theory may be inaccurate at this scale",
-                stacklevel=2)
-        params = rates_from_lambda(r_i * lam, p_bar, n)
-        layer = sample_sbm_layer(
-            labels, params,
-            substream(cfg.seed, point_index, rep_index, _STREAM_LAYER_BASE + i))
-        ops.append(center_scale_layer(layer))
-    # sqrt(lambda_i / lambda) = sqrt(r_i): the fractions alone fix the weights,
-    # which keeps the combination well defined at lam = 0 as well.
-    return combine_layers(ops, list(fractions))
+        network = sample_gaussian_surrogate(labels, lam, rng(_STREAM_SURROGATE))
+    else:
+        network = []
+        for i, (r_i, coeff) in enumerate(_layer_specs(cfg)):
+            p_bar = coeff / np.sqrt(n)
+            if n * p_bar < 10.0:
+                warnings.warn(
+                    f"layer {i}: average degree {n * p_bar:.2f} < 10; the "
+                    "dense-limit theory may be inaccurate at this scale",
+                    stacklevel=2)
+            params = rates_from_lambda(r_i * lam, p_bar, n)
+            network.append(sample_sbm_layer(labels, params, rng(_STREAM_LAYER_BASE + i)))
+    eps = cfg.eps if cfg.init == "revelation" else 0.0
+    masks = sample_revelation(labels, cov.v_star, eps, rng(_STREAM_MASKS))
+    return ReplicateInstance(labels=labels, covariates=cov, network=network, masks=masks)
 
 
 def run_replicate(cfg: ExperimentConfig, point_index: int, rep_index: int) -> ReplicateResult:
     """Sample one instance, run the estimator, and score it."""
     t_start = time.perf_counter()
     lam, mu = cfg.point(cfg.grid[point_index])
-    labels = sample_labels(cfg.n, substream(cfg.seed, point_index, rep_index, _STREAM_LABELS))
-    cov = sample_covariates(labels, mu, cfg.p,
-                            substream(cfg.seed, point_index, rep_index, _STREAM_COVARIATES))
-    b_op = RectOperator(cov.B)
-    sym_op = _build_sym_op(cfg, labels, lam, point_index, rep_index)
+    inst = draw_instance(cfg, point_index, rep_index)
+    b_op = RectOperator(inst.covariates.B)
+    if cfg.family == "gaussian":
+        sym_op = DenseSymmetricOperator(inst.network.T, denom=float(np.sqrt(cfg.n)))
+    else:
+        # sqrt(lambda_i / lambda) = sqrt(r_i): the fractions alone fix the
+        # weights, which keeps the combination well defined at lam = 0 as well.
+        sym_op = combine_layers([center_scale_layer(layer) for layer in inst.network],
+                                [r_i for r_i, _ in _layer_specs(cfg)])
 
-    eps = cfg.eps if cfg.init == "revelation" else 0.0
-    masks = sample_revelation(labels, cov.v_star, eps,
-                              substream(cfg.seed, point_index, rep_index, _STREAM_MASKS))
-
+    revelation = cfg.init == "revelation"
     se_seed = substream(cfg.seed, point_index, rep_index, _STREAM_SE).integers(2 ** 63)
-    se_cfg = SeConfig(
-        lam=lam, mu=mu, c=cfg.c, eps=eps,
-        init_mode="zero" if cfg.init == "revelation" else cfg.se_init_mode,
-        init_interval=cfg.se_init_interval, seed=int(se_seed),
-        t_max=cfg.n_iter + 1, revealed_spike_snr=(cfg.init == "revelation"))
-    traj = se_run(se_cfg)
+    traj = se_run(SeConfig(
+        lam=lam, mu=mu, c=cfg.c, eps=inst.masks.eps,
+        init_mode="zero" if revelation else cfg.se_init_mode, seed=int(se_seed),
+        t_max=cfg.n_iter + 1, revealed_spike_snr=revelation))
 
-    if cfg.init == "revelation":
-        state = init_zero(masks, traj, cfg.p)
+    if revelation:
+        state = init_zero(inst.masks, traj, cfg.p)
     else:
         rng = substream(cfg.seed, point_index, rep_index, _STREAM_INIT)
-        if lam > 0 and mu > 0:
-            a0 = solve_a0(lam, mu, cfg.c)
-            x0_vec, u0_vec = spectral_initialize(sym_op, b_op, a0, rng, tol=1e-6)
-        elif lam > 0:
+        if mu == 0:
             x0_vec, u0_vec = spectral_initialize(sym_op, None, 0.0, rng, tol=1e-6)
-        elif mu > 0:
+        elif lam == 0:
             x0_vec, u0_vec = spectral_initialize(None, b_op, 1.0, rng, tol=1e-6)
         else:
-            x0_vec, u0_vec = spectral_initialize(sym_op, None, 0.0, rng, tol=1e-6)
-        state = init_spectral(x0_vec, u0_vec, masks, traj, cfg.p)
+            a0 = solve_a0(lam, mu, cfg.c)
+            x0_vec, u0_vec = spectral_initialize(sym_op, b_op, a0, rng, tol=1e-6)
+        state = init_spectral(x0_vec, u0_vec, inst.masks, traj, cfg.p)
 
-    result = run_amp(sym_op, b_op, masks, traj, n_iter=cfg.n_iter, init=state,
-                     x_star=labels.x_star, early_stop_tol=cfg.early_stop_tol)
+    x_star = inst.labels.x_star
+    result = run_amp(sym_op, b_op, inst.masks, traj, n_iter=cfg.n_iter, init=state,
+                     x_star=x_star)
     return ReplicateResult(
         point_index=point_index,
         replicate_index=rep_index,
-        empirical_mse=empirical_mse(result.x_hat, labels.x_star),
-        empirical_overlap=empirical_overlap(result.x_hat, labels.x_star),
+        empirical_mse=empirical_mse(result.x_hat, x_star),
+        empirical_overlap=empirical_overlap(result.x_hat, x_star),
         overlap_trajectory=result.overlap,
         wall_time=time.perf_counter() - t_start)
+
+
+def _map_replicates(fn, items, threads: int) -> list:
+    """fn over items in input order, on ``threads`` worker threads if threads > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[AggregateResult]:
@@ -261,26 +289,14 @@ def run_sweep(cfg: ExperimentConfig) -> list[AggregateResult]:
     sweep continues.  Output order follows the grid, independent of the
     execution schedule."""
     tasks = [(i, r) for i in range(len(cfg.grid)) for r in range(cfg.replicates)]
-    results: dict[tuple[int, int], ReplicateResult] = {}
-    failures: dict[tuple[int, int], str] = {}
 
     def run_one(task):
-        i, r = task
         try:
-            return task, run_replicate(cfg, i, r), None
+            return run_replicate(cfg, *task)
         except MvampError as exc:
-            return task, None, f"replicate {r}: {type(exc).__name__}: {exc}"
+            return f"replicate {task[1]}: {type(exc).__name__}: {exc}"
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(run_one, tasks))
-    else:
-        outcomes = [run_one(t) for t in tasks]
-    for task, res, err in outcomes:
-        if err is None:
-            results[task] = res
-        else:
-            failures[task] = err
+    outcomes = dict(zip(tasks, _map_replicates(run_one, tasks, cfg.threads)))
 
     aggregates = []
     for i, value in enumerate(cfg.grid):
@@ -295,9 +311,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[AggregateResult]:
             family=cfg.family, n=cfg.n, p=cfg.p, lam=lam, mu=mu, c=cfg.c,
             replicates=cfg.replicates, theory_mmse=theory_mmse,
             detectable=detection_possible(lam, mu, cfg.c))
-        point_results = [results[(i, r)] for r in range(cfg.replicates) if (i, r) in results]
-        agg.errors = errors + [failures[(i, r)] for r in range(cfg.replicates)
-                               if (i, r) in failures]
+        point = [outcomes[(i, r)] for r in range(cfg.replicates)]
+        point_results = [o for o in point if isinstance(o, ReplicateResult)]
+        agg.errors = errors + [o for o in point if isinstance(o, str)]
         if point_results:
             mses = np.array([r.empirical_mse for r in point_results])
             agg.mean_mse = float(mses.mean())
@@ -340,18 +356,11 @@ def se_consistency_check(lam: float, mu: float, c: float, eps: float, n: int,
         family="gaussian", n=n, p=p, sweep_param="lambda", grid=(lam,),
         fixed_value=mu, replicates=replicates, n_iter=t_max, seed=seed,
         init="revelation", eps=eps, threads=threads)
-    se_cfg = SeConfig(lam=lam, mu=mu, c=cfg.c, eps=eps, init_mode="zero",
-                      t_max=t_max + 1, revealed_spike_snr=True)
-    traj = se_run(se_cfg)
+    traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=eps, init_mode="zero",
+                           t_max=t_max + 1, revealed_spike_snr=True))
 
-    def one(rep):
-        return run_replicate(cfg, 0, rep).overlap_trajectory
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajs = list(pool.map(one, range(replicates)))
-    else:
-        trajs = [one(rep) for rep in range(replicates)]
+    trajs = _map_replicates(lambda rep: run_replicate(cfg, 0, rep).overlap_trajectory,
+                            range(replicates), threads)
     mean_overlap = np.mean(np.stack(trajs), axis=0)[1: t_max + 1]
     return SeCheckReport(t=np.arange(1, t_max + 1), z_theory=traj.z[1: t_max + 1],
                          mean_overlap=mean_overlap)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from mvamp.cli import main, parse_grid, UsageError
+from mvamp.experiments import ExperimentConfig, draw_instance
+from mvamp.model import write_covariates_csv, write_edge_list, write_labels_csv
 
 
 def run_cli(*args):
@@ -60,6 +62,34 @@ class TestTheoryCommand:
     def test_missing_args_is_usage_error(self, tmp_path):
         assert run_cli("theory", "--mu-grid", "1", "--c", "1",
                        "--out-dir", str(tmp_path / "x")) == 1
+
+    def test_common_section_keys_of_other_subcommands_are_ignored(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[common]\nseed = 3\nthreads = 2\n\n"
+                       "[theory]\nlambda-grid = 1,2\nmu-grid = 0.5\nc = 1.5\n")
+        out = tmp_path / "o"
+        assert run_cli("theory", "--config", str(ini), "--out-dir", str(out)) == 0
+        assert len((out / "theory.csv").read_text().splitlines()) == 3
+
+    def test_common_key_no_subcommand_reads_is_rejected(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[common]\nsede = 5\n\n"
+                       "[theory]\nlambda-grid = 1\nmu-grid = 0.5\nc = 1.5\n")
+        assert run_cli("theory", "--config", str(ini),
+                       "--out-dir", str(tmp_path / "o")) == 1
+        assert "sede" in capsys.readouterr().err
+
+    def test_own_section_key_of_another_subcommand_is_rejected(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[theory]\nlambda-grid = 1\nmu-grid = 0.5\nc = 1.5\nseed = 3\n")
+        assert run_cli("theory", "--config", str(ini),
+                       "--out-dir", str(tmp_path / "o")) == 1
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seed", "--threads"])
+    def test_replicate_flags_are_not_accepted(self, tmp_path, flag):
+        assert run_cli("theory", "--lambda-grid", "1", "--mu-grid", "0.5", "--c", "1.5",
+                       flag, "4", "--out-dir", str(tmp_path / "o")) == 1
 
     def test_revelation_fraction_raises_fixed_point(self, tmp_path):
         # z_star is evaluated at the requested eps; the limit columns stay
@@ -150,6 +180,42 @@ class TestSimulateCommand:
                        "--out-dir", str(out)) == 0
         row = (out / "results.csv").read_text().splitlines()[1]
         assert float(row.split(",")[8]) < 1.0  # mean mse: revelation helps
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_variable_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("MVAMP_THREADS", value)
+        assert run_cli(*self.ARGS, "--out-dir", str(tmp_path / "o")) == 1
+        assert "MVAMP_THREADS" in capsys.readouterr().err
+
+    def test_thread_variable_sets_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MVAMP_THREADS", "2")
+        out = tmp_path / "o"
+        assert run_cli(*self.ARGS, "--out-dir", str(out)) == 0
+        assert "threads = 2" in (out / "config_used.ini").read_text().splitlines()
+
+    def test_exported_instance_is_the_replicate_instance(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--family", "multilayer", "--m", "2",
+                       "--r-fractions", "0.6,0.4", "--p-bar-coeffs", "0.9,0.6",
+                       "--n", "300", "--p", "150", "--grid", "2.0,3.0", "--fixed", "0.9",
+                       "--replicates", "1", "--n-iter", "5", "--seed", "11",
+                       "--export-instance", "--out-dir", str(out)) == 0
+        cfg = ExperimentConfig(family="multilayer", n=300, p=150, sweep_param="lambda",
+                               grid=(2.0, 3.0), fixed_value=0.9, replicates=1, n_iter=5,
+                               seed=11, m=2, r_fractions=(0.6, 0.4), p_bar_coeffs=(0.9, 0.6))
+        inst = draw_instance(cfg, 0, 0)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        write_labels_csv(inst.labels, ref / "labels.csv")
+        write_covariates_csv(inst.covariates, ref / "covariates.csv")
+        names = ["labels.csv", "covariates.csv"]
+        for i, layer in enumerate(inst.network):
+            write_edge_list(layer, ref / f"layer_{i}_edges.txt")
+            names.append(f"layer_{i}_edges.txt")
+        assert len(inst.network) == 2
+        assert not (out / "layer_2_edges.txt").exists()
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
     def test_svg_is_well_formed(self, tmp_path):
         import xml.etree.ElementTree as ET
