@@ -154,14 +154,13 @@ def amp_step(state: AmpState, sym_op: SymmetricOperator, b_op: RectOperator,
     params_t = _coeffs(traj, t)
     q = state.q
     sech2 = np.where(masks.mask_x, 0.0, 1.0 - q * q)
-    df_du = params_t.a * sech2
-    df_dx = params_t.b * sech2
-    p_t = (n / p) * np.sum(df_du) / n
-    d_t = np.sum(df_dx) / n
+    # g_t's derivative does not depend on its argument, so all three memory
+    # coefficients are known before v is formed.
+    _, dg_dv = denoise_g(state.v, masks.v0, masks.mask_v, params_t)
+    c_t, p_t, d_t = onsager_coeffs(params_t.a * sech2, params_t.b * sech2, dg_dv, n, p)
 
     v = b_op.apply(q) - p_t * state.m_prev
-    m, dg_dv = denoise_g(v, masks.v0, masks.mask_v, params_t)
-    c_t = np.sum(dg_dv) / p
+    m, _ = denoise_g(v, masks.v0, masks.mask_v, params_t)
 
     u_next = b_op.apply_t(m) - c_t * q
     x_next = sym_op.matvec(q) - d_t * state.q_prev

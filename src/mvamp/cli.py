@@ -362,8 +362,11 @@ def cmd_se_check(args: argparse.Namespace) -> int:
     if not 0.0 < eps <= 1.0:
         raise UsageError(f"se-check requires eps in (0, 1], got {eps}")
 
-    report = se_consistency_check(lam=lam, mu=mu, c=c, eps=eps, n=n, t_max=t_max,
-                                  replicates=replicates, seed=seed, threads=threads)
+    try:
+        report = se_consistency_check(lam=lam, mu=mu, c=c, eps=eps, n=n, t_max=t_max,
+                                      replicates=replicates, seed=seed, threads=threads)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     rows = [[int(t), zt, ov, gap] for t, zt, ov, gap in
             zip(report.t, report.z_theory, report.mean_overlap, report.abs_gap)]
     write_csv(out / "se_check.csv",

@@ -125,6 +125,8 @@ class ExperimentConfig:
             raise ValueError("grid values and fixed_value must be nonnegative")
         if self.n < 2 or self.p < 1 or self.replicates < 1 or self.n_iter < 1:
             raise ValueError("n >= 2, p >= 1, replicates >= 1, n_iter >= 1 required")
+        if self.threads < 1:
+            raise ValueError(f"threads must be a positive integer, got {self.threads}")
         if self.init not in ("spectral", "revelation"):
             raise ValueError(f"init must be 'spectral' or 'revelation', got {self.init!r}")
         if self.init == "revelation" and not 0.0 < self.eps <= 1.0:

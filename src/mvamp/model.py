@@ -16,6 +16,11 @@ and layers are always handled through their centered and rescaled
 adjacency operators, under which the planted signal has mean
 sqrt(lambda / n) x x^T exactly like the Gaussian surrogate scaled by
 1 / sqrt(n).
+
+Memory: a network layer takes O(n + edges), never O(n^2).  The dense
+surrogate holds at most two n x n arrays while it is built, and the
+covariate matrix none beyond itself: spikes are added a block of rows at
+a time.
 """
 
 from __future__ import annotations
@@ -175,11 +180,30 @@ class SbmLayer:
         return self.adjacency.shape[0]
 
 
+def _sample_ranks(n_pairs: int, prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Ranks of the pairs that carry an edge, each of n_pairs independently
+    with probability prob: a Binomial count, then that many distinct ranks."""
+    count = rng.binomial(n_pairs, prob)
+    return rng.choice(n_pairs, size=count, replace=False, shuffle=False)
+
+
+def _unrank_within(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, l), k < l, of the within-group pairs ranked l (l - 1) / 2 + k."""
+    l = ((1.0 + np.sqrt(1.0 + 8.0 * ranks)) / 2.0).astype(np.int64)
+    # The float square root can land one off near a triangular number.
+    l -= l * (l - 1) // 2 > ranks
+    l += l * (l + 1) // 2 <= ranks
+    return ranks - l * (l - 1) // 2, l
+
+
 def sample_sbm_layer(x_star: CommunityLabels, params: LayerParams, rng) -> SbmLayer:
     """Sample the layer's adjacency: symmetric 0/1 with a zero diagonal.
 
     For k < l the edge probability is a_n / n when the endpoints share a
-    group and b_n / n otherwise.
+    group and b_n / n otherwise.  The pairs fall into three blocks (within
+    +, within -, across); each block draws its edge count from a Binomial
+    and then that many distinct pair ranks, unranked to vertex pairs, so
+    memory is O(n + edges) rather than O(n^2).
     """
     n = x_star.n
     p_in, p_out = params.a_n / n, params.b_n / n
@@ -187,11 +211,17 @@ def sample_sbm_layer(x_star: CommunityLabels, params: LayerParams, rng) -> SbmLa
         raise ValueError(
             f"edge probabilities outside [0, 1]: a_n/n={p_in}, b_n/n={p_out}")
     rng = _as_rng(rng)
-    rows, cols = np.triu_indices(n, k=1)
-    same = x_star.x_star[rows] == x_star.x_star[cols]
-    prob = np.where(same, p_in, p_out)
-    edge = rng.random(rows.size) < prob
-    r, c = rows[edge], cols[edge]
+    plus = np.flatnonzero(x_star.x_star > 0)
+    minus = np.flatnonzero(x_star.x_star < 0)
+    rows, cols = [], []
+    for group in (plus, minus):
+        k, l = _unrank_within(_sample_ranks(group.size * (group.size - 1) // 2, p_in, rng))
+        rows.append(group[k])
+        cols.append(group[l])
+    i, j = np.divmod(_sample_ranks(plus.size * minus.size, p_out, rng), minus.size)
+    rows.append(plus[i])
+    cols.append(minus[j])
+    r, c = np.concatenate(rows), np.concatenate(cols)
     adj = sparse.csr_array(
         (np.ones(2 * r.size), (np.concatenate([r, c]), np.concatenate([c, r]))),
         shape=(n, n))
@@ -224,9 +254,17 @@ class CovariateModel:
         return self.B - np.sqrt(self.mu / self.n) * np.outer(self.v_star, x_star.x_star)
 
 
-# Rows of the covariate matrix that receive the spike per block; a block's
-# temporary is _SPIKE_ROWS x n.
+# Rows of the covariate matrix or the Gaussian surrogate that receive the
+# spike per block; a block's temporary is _SPIKE_ROWS x n.
 _SPIKE_ROWS = 256
+
+
+def _add_spike(A: np.ndarray, scaled: np.ndarray, x: np.ndarray) -> None:
+    """A += outer(scaled, x) a block of rows at a time, with no temporary
+    the size of A.  x is +-1, so every entry equals the full outer-product
+    formula's bit for bit."""
+    for i in range(0, A.shape[0], _SPIKE_ROWS):
+        A[i:i + _SPIKE_ROWS] += np.multiply.outer(scaled[i:i + _SPIKE_ROWS], x)
 
 
 def sample_covariates(x_star: CommunityLabels, mu: float, p: int, rng) -> CovariateModel:
@@ -239,12 +277,7 @@ def sample_covariates(x_star: CommunityLabels, mu: float, p: int, rng) -> Covari
     n = x_star.n
     v_star = rng.standard_normal(p)
     B = rng.standard_normal((p, n))
-    # Add the spike a block of rows at a time, so no p x n temporary is made.
-    # x* is +-1, so every entry equals the full outer-product formula's bit
-    # for bit.
-    scaled_v = np.sqrt(mu / n) * v_star
-    for i in range(0, p, _SPIKE_ROWS):
-        B[i:i + _SPIKE_ROWS] += np.multiply.outer(scaled_v[i:i + _SPIKE_ROWS], x_star.x_star)
+    _add_spike(B, np.sqrt(mu / n) * v_star, x_star.x_star)
     return CovariateModel(mu=float(mu), v_star=v_star, B=B)
 
 
@@ -269,8 +302,11 @@ def sample_gaussian_surrogate(x_star: CommunityLabels, lam: float, rng) -> Gauss
     rng = _as_rng(rng)
     n = x_star.n
     M = rng.standard_normal((n, n))
-    T = (M + M.T) / np.sqrt(2.0)
-    T += np.sqrt(lam / n) * np.outer(x_star.x_star, x_star.x_star)
+    # At most two n x n arrays are alive at once: M and T until M is freed.
+    T = M + M.T
+    del M
+    T /= np.sqrt(2.0)
+    _add_spike(T, np.sqrt(lam / n) * x_star.x_star, x_star.x_star)
     return GaussianSurrogate(T=T, lam=float(lam))
 
 

@@ -193,6 +193,19 @@ class TestSimulateCommand:
         assert run_cli(*self.ARGS, "--out-dir", str(out)) == 0
         assert "threads = 2" in (out / "config_used.ini").read_text().splitlines()
 
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_nonpositive_thread_flag_is_usage_error(self, tmp_path, capsys, value):
+        assert run_cli(*self.ARGS, "--threads", value, "--out-dir", str(tmp_path / "o")) == 1
+        assert "threads" in capsys.readouterr().err
+
+    def test_nonpositive_thread_config_value_is_usage_error(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[common]\nthreads = -3\n")
+        out = tmp_path / "o"
+        assert run_cli(*self.ARGS, "--config", str(ini), "--out-dir", str(out)) == 1
+        assert "threads" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_exported_instance_is_the_replicate_instance(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli("simulate", "--family", "multilayer", "--m", "2",
@@ -250,6 +263,23 @@ class TestSeCheckCommand:
         assert run_cli("se-check", "--lambda", "1", "--mu", "1", "--c", "1",
                        "--eps", "0", "--n", "100", "--t-max", "2",
                        "--replicates", "1", "--out-dir", str(tmp_path / "o")) == 1
+
+    SE_ARGS = ("se-check", "--lambda", "1", "--mu", "1", "--c", "1", "--eps", "0.2",
+               "--n", "100", "--t-max", "2", "--replicates", "1")
+
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_nonpositive_thread_flag_is_usage_error(self, tmp_path, capsys, value):
+        assert run_cli(*self.SE_ARGS, "--threads", value,
+                       "--out-dir", str(tmp_path / "o")) == 1
+        assert "threads" in capsys.readouterr().err
+
+    def test_nonpositive_thread_config_value_is_usage_error(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[se-check]\nthreads = 0\n")
+        out = tmp_path / "o"
+        assert run_cli(*self.SE_ARGS, "--config", str(ini), "--out-dir", str(out)) == 1
+        assert "threads" in capsys.readouterr().err
+        assert not (out / "se_check.csv").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -155,6 +155,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_cfg(init="revelation", eps=0.0)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_must_be_positive(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            small_cfg(threads=threads)
+
 
 class TestSeConsistency:
     def test_full_revelation_is_exact(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -7,6 +9,7 @@ from mvamp.model import (CommunityLabels, LayerParams, center_scale_layer, combi
                          lambda_from_rates, rates_from_lambda, sample_covariates,
                          sample_gaussian_surrogate, sample_labels, sample_revelation,
                          sample_sbm_layer, substream, write_edge_list)
+from mvamp.model import _unrank_within
 
 
 class TestLabels:
@@ -120,6 +123,68 @@ class TestSbmLayer:
         band = 4.0 * np.sqrt(p_in * (1 - p_in) / n_same)
         assert abs(rate - p_in) < band
 
+    def test_across_rate_concentrates(self):
+        n = 2000
+        lab = sample_labels(n, substream(3, 2))
+        params = rates_from_lambda(1.0, 0.7 / np.sqrt(n), n)
+        layer = sample_sbm_layer(lab, params, substream(3, 3))
+        x = lab.x_star
+        upper = sparse.triu(sparse.coo_array(layer.adjacency), k=1)
+        n_across = int((x > 0).sum() * (x < 0).sum())
+        p_out = params.b_n / n
+        rate = np.count_nonzero(x[upper.row] != x[upper.col]) / n_across
+        band = 4.0 * np.sqrt(p_out * (1 - p_out) / n_across)
+        assert abs(rate - p_out) < band
+
+    @pytest.mark.parametrize("p_bar", [0.1, 0.5])
+    def test_structure_at_high_density(self, p_bar):
+        # numpy draws distinct ranks by a different algorithm at these densities
+        n = 400
+        lab = sample_labels(n, substream(3, 4))
+        params = rates_from_lambda(2.0, p_bar, n)
+        layer = sample_sbm_layer(lab, params, substream(3, 5))
+        a = layer.adjacency
+        # a pair drawn twice would sum to 2 when the adjacency is assembled
+        np.testing.assert_array_equal(a.data, np.ones(a.nnz))
+        assert (a != a.T).nnz == 0
+        assert np.all(a.diagonal() == 0)
+        x = lab.x_star
+        upper = sparse.triu(sparse.coo_array(a), k=1)
+        assert 2 * upper.nnz == a.nnz
+        same = x[upper.row] == x[upper.col]
+        n_plus = int((x > 0).sum())
+        n_same = n_plus * (n_plus - 1) // 2 + (n - n_plus) * (n - n_plus - 1) // 2
+        for hits, pairs, prob in ((same.sum(), n_same, params.a_n / n),
+                                  ((~same).sum(), n_plus * (n - n_plus), params.b_n / n)):
+            assert abs(hits / pairs - prob) < 4.0 * np.sqrt(prob * (1 - prob) / pairs)
+
+    def test_unranking_enumerates_every_pair_once(self):
+        for m in range(60):
+            k, l = _unrank_within(np.arange(m * (m - 1) // 2))
+            rows, cols = np.triu_indices(m, k=1)
+            order = np.lexsort((rows, cols))
+            np.testing.assert_array_equal(k, rows[order])
+            np.testing.assert_array_equal(l, cols[order])
+        # ranks next to triangular numbers, where the float square root may miss
+        ls = np.array([10 ** 5, 10 ** 6, 3 * 10 ** 7, 10 ** 8], dtype=np.int64)
+        ranks = (ls * (ls - 1) // 2)[:, None] + np.array([-1, 0, 1])
+        k, l = _unrank_within(ranks.ravel())
+        np.testing.assert_array_equal(l * (l - 1) // 2 + k, ranks.ravel())
+        assert np.all((0 <= k) & (k < l))
+
+    def test_peak_memory_is_a_small_multiple_of_the_edges(self):
+        n = 8000
+        lab = sample_labels(n, substream(3, 6))
+        params = rates_from_lambda(2.0, 0.7 / np.sqrt(n), n)
+        tracemalloc.start()
+        try:
+            layer = sample_sbm_layer(lab, params, substream(3, 7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        a = layer.adjacency
+        assert peak <= 8 * (a.data.nbytes + a.indices.nbytes + a.indptr.nbytes)
+
     def test_determinism(self):
         lab = sample_labels(100, substream(4, 0))
         params = rates_from_lambda(1.5, 0.1, 100)
@@ -204,6 +269,17 @@ class TestGaussianSurrogate:
         lab = sample_labels(80, substream(12, 0))
         surr = sample_gaussian_surrogate(lab, 1.0, substream(12, 1))
         np.testing.assert_array_equal(surr.T, surr.T.T)
+
+    def test_matches_full_matrix_formula(self):
+        # the spike is added in row blocks; every n here ends in a partial block
+        for n in (300, 1001, 1500):
+            lab = sample_labels(n, substream(12, 2, n))
+            for lam in (0.0, 2.5):
+                surr = sample_gaussian_surrogate(lab, lam, substream(12, 3, n))
+                M = substream(12, 3, n).standard_normal((n, n))
+                T = (M + M.T) / np.sqrt(2.0) \
+                    + np.sqrt(lam / n) * np.outer(lab.x_star, lab.x_star)
+                assert surr.T.tobytes() == T.tobytes()
 
     def test_noise_variances(self):
         n = 900
