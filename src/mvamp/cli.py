@@ -145,9 +145,9 @@ def _echo_config(out_dir: Path, section: str, pairs: dict) -> None:
 
 
 def _out_dir(settings: Settings) -> Path:
-    out = Path(settings.get("out-dir", "mvamp-out", str))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory; create it only once the inputs are validated,
+    so that a usage error leaves nothing behind."""
+    return Path(settings.get("out-dir", "mvamp-out", str))
 
 
 def _threads_default() -> int:
@@ -250,6 +250,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
         raise UsageError(f"c must be positive, got {c}")
     if any(v < 0 for v in lam_grid) or any(v < 0 for v in mu_grid):
         raise UsageError("grid values must be nonnegative")
+    out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for lam in lam_grid:
@@ -310,6 +311,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             se_init_mode=se_init, threads=threads)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    out.mkdir(parents=True, exist_ok=True)
 
     aggs = run_sweep(cfg)
     header = ["family", "n", "p", "lambda", "mu", "c", "replicates", "theory_mmse",
@@ -367,6 +369,7 @@ def cmd_se_check(args: argparse.Namespace) -> int:
                                       replicates=replicates, seed=seed, threads=threads)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    out.mkdir(parents=True, exist_ok=True)
     rows = [[int(t), zt, ov, gap] for t, zt, ov, gap in
             zip(report.t, report.z_theory, report.mean_overlap, report.abs_gap)]
     write_csv(out / "se_check.csv",

@@ -353,6 +353,8 @@ def se_consistency_check(lam: float, mu: float, c: float, eps: float, n: int,
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("tracking check requires eps in (0, 1]")
+    if not c > 0.0:
+        raise ValueError(f"c must be positive, got {c}")
     p = int(round(n / c))
     cfg = ExperimentConfig(
         family="gaussian", n=n, p=p, sweep_param="lambda", grid=(lam,),

@@ -10,18 +10,22 @@ The spectral start needs the algebraically largest eigenpair of the
 composed operator, which may have a negative eigenvalue of larger
 magnitude.  :func:`leading_eigenpair` finds it with implicitly restarted
 Lanczos (scipy's ``eigsh`` on ARPACK), driven only through the operator's
-matvec.  scipy.sparse.linalg is imported inside that function, not here:
-the import costs about a quarter of ``import mvamp``, and callers that
-never take a spectral start (the theory functions, ``mvamp theory``) should
-not pay for it.
+matvec.  scipy.sparse.linalg is imported inside that function, not here,
+and scipy.sparse is needed only as an annotation: callers that never take
+a spectral start (the theory functions, ``mvamp theory``) load no scipy
+module at all.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from .exceptions import ConvergenceError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "SymmetricOperator",

@@ -26,12 +26,15 @@ a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .exceptions import InfeasibleSnrError
 from .linalg import SparseCenteredOperator, SymmetricOperator, WeightedSumOperator
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "CommunityLabels",
@@ -210,9 +213,13 @@ def sample_sbm_layer(x_star: CommunityLabels, params: LayerParams, rng) -> SbmLa
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise ValueError(
             f"edge probabilities outside [0, 1]: a_n/n={p_in}, b_n/n={p_out}")
+    from scipy import sparse
+
     rng = _as_rng(rng)
-    plus = np.flatnonzero(x_star.x_star > 0)
-    minus = np.flatnonzero(x_star.x_star < 0)
+    # int32 vertex indices (n < 2^31) give the adjacency int32 indices and
+    # indptr: 12 B per stored entry instead of 16.
+    plus = np.flatnonzero(x_star.x_star > 0).astype(np.int32)
+    minus = np.flatnonzero(x_star.x_star < 0).astype(np.int32)
     rows, cols = [], []
     for group in (plus, minus):
         k, l = _unrank_within(_sample_ranks(group.size * (group.size - 1) // 2, p_in, rng))
@@ -370,6 +377,8 @@ def combine_layers(ops: list[SymmetricOperator], lambdas: list[float]) -> Symmet
 
 def write_edge_list(layer: SbmLayer, path) -> None:
     """Write the adjacency as text, one 0-indexed "k l" pair per line, k < l."""
+    from scipy import sparse
+
     coo = sparse.triu(sparse.coo_array(layer.adjacency), k=1)
     order = np.lexsort((coo.col, coo.row))
     with open(path, "w", newline="\n") as fh:

@@ -13,6 +13,10 @@ cross-checked (Monte Carlo, and the identity d/d_eta mi = mmse / 2).
 
 For eta above ``ETA_ASYMPTOTIC`` the integrands saturate below double
 precision and the known asymptotes are returned (mmse -> 0, mi -> log 2).
+
+The quadrature rule is built here with numpy alone (Tricomi starting
+values, then Newton on the three-term recurrence; see
+:func:`gauss_hermite_rule`), so the theory functions load no scipy module.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermitenorm
+
+from .exceptions import ConvergenceError
 
 __all__ = [
     "QuadratureRule",
@@ -44,6 +49,8 @@ DEFAULT_ORDER = 501
 #: quadrature sum.  At eta = 50 the gap to the asymptote is below 1e-10.
 ETA_ASYMPTOTIC = 50.0
 
+_NEWTON_MAX_STEPS = 20
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -61,14 +68,62 @@ class QuadratureRule:
 
 
 def gauss_hermite_rule(k: int) -> QuadratureRule:
-    """k-point Gauss-Hermite rule rescaled to the N(0,1) weight."""
+    """k-point Gauss-Hermite rule for the N(0,1) weight, in O(k) memory.
+
+    The nodes are the roots of the probabilists' Hermite polynomial He_k.
+    The positive ones start from Tricomi's asymptotic formula (Townsend,
+    Trogdon & Olver, IMA J. Numer. Anal. 36, 2016, lemma 3.1; scipy's
+    large-order rule starts the same way) and are polished by Newton on
+    the orthonormal recurrence p_0 = 1, p_{j+1} = (x p_j - sqrt(j) p_{j-1})
+    / sqrt(j + 1), whose derivative gives the step p_k / (sqrt(k) p_{k-1}).
+    The weights are 1 / (k p_{k-1}^2), mirrored and normalised to sum 1;
+    weights below the smallest normal double are set to 0.
+
+    Against ``scipy.special.roots_hermitenorm`` (weights / sqrt(2 pi)) the
+    nodes agree within 1e-13 max(1, |x|) and the weights within 1e-14 for
+    every order tested, k = 1..64 and up to 600 (``tests/test_scalar_channel.py``).
+    Newton takes at most 7 steps up to k = 800; past about k = 1000 the
+    starting values of the largest nodes are too far off and
+    :class:`ConvergenceError` is raised.
+    """
     if k < 1:
         raise ValueError(f"quadrature order must be >= 1, got {k}")
-    if k == 1:
-        return QuadratureRule(nodes=np.zeros(1), weights=np.ones(1))
-    nodes, weights = roots_hermitenorm(k)
-    weights = weights / np.sqrt(2.0 * np.pi)
-    return QuadratureRule(nodes=nodes, weights=weights)
+    half, nu = k // 2, 2.0 * k + 1.0
+    # Tricomi: the i-th positive root of the physicists' H_k satisfies
+    # x^2 ~ nu s - (5 / (4 (1 - s)^2) - 1 / (1 - s) - 1/4) / (3 nu), with
+    # s = cos^2(tau / 2) and tau - sin(tau) = c_i solved by Newton from pi / 2.
+    # He_k's roots are sqrt(2) times H_k's.
+    c = (4.0 * half - 4.0 * np.arange(1, half + 1) + 3.0) * np.pi / nu
+    tau = np.full(half, 0.5 * np.pi)
+    for _ in range(5):
+        tau -= (tau - np.sin(tau) - c) / (1.0 - np.cos(tau))
+    sig = np.cos(0.5 * tau) ** 2
+    x = np.sqrt(2.0 * (nu * sig - (1.25 / (1.0 - sig) ** 2 - 1.0 / (1.0 - sig) - 0.25)
+                       / (3.0 * nu)))
+    if k % 2:
+        x = np.concatenate([[0.0], x])
+    sqrt_j = np.sqrt(np.arange(k + 1.0))
+    for _ in range(_NEWTON_MAX_STEPS):
+        # Starting the recurrence at exp(-x^2 / 8) instead of 1 scales every
+        # p_j by the same factor and keeps it finite at the largest nodes.
+        scale = np.exp(-0.125 * x * x)
+        p_prev, p = np.zeros_like(x), scale
+        for j in range(1, k + 1):
+            p_prev, p = p, (x * p - sqrt_j[j - 1] * p_prev) / sqrt_j[j]
+        step = p / (sqrt_j[k] * p_prev)
+        x = x - step
+        if np.max(np.abs(step), initial=0.0) <= 1e-15 * max(1.0, x.max(initial=0.0)):
+            break
+    else:
+        raise ConvergenceError(f"Gauss-Hermite nodes of order {k} did not converge",
+                               iterations=_NEWTON_MAX_STEPS)
+    w = (scale / p_prev) ** 2 / k
+    # Subnormal weights add nothing a double sum keeps, and are slow to multiply.
+    w[w < np.finfo(float).tiny] = 0.0
+    # Mirror the positive nodes; an odd order's centre node 0 appears once.
+    nodes = np.concatenate([-x[k % 2:][::-1], x])
+    weights = np.concatenate([w[k % 2:][::-1], w])
+    return QuadratureRule(nodes=nodes, weights=weights / weights.sum())
 
 
 _DEFAULT_RULE = gauss_hermite_rule(DEFAULT_ORDER)

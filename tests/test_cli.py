@@ -63,6 +63,12 @@ class TestTheoryCommand:
         assert run_cli("theory", "--mu-grid", "1", "--c", "1",
                        "--out-dir", str(tmp_path / "x")) == 1
 
+    def test_usage_error_creates_no_output_directory(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("theory", "--lambda-grid", "1", "--mu-grid", "0.5",
+                       "--out-dir", str(out)) == 1
+        assert not out.exists()
+
     def test_common_section_keys_of_other_subcommands_are_ignored(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text("[common]\nseed = 3\nthreads = 2\n\n"
@@ -198,6 +204,11 @@ class TestSimulateCommand:
         assert run_cli(*self.ARGS, "--threads", value, "--out-dir", str(tmp_path / "o")) == 1
         assert "threads" in capsys.readouterr().err
 
+    def test_usage_error_creates_no_output_directory(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli(*self.ARGS, "--threads", "0", "--out-dir", str(out)) == 1
+        assert not out.exists()
+
     def test_nonpositive_thread_config_value_is_usage_error(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text("[common]\nthreads = -3\n")
@@ -263,6 +274,17 @@ class TestSeCheckCommand:
         assert run_cli("se-check", "--lambda", "1", "--mu", "1", "--c", "1",
                        "--eps", "0", "--n", "100", "--t-max", "2",
                        "--replicates", "1", "--out-dir", str(tmp_path / "o")) == 1
+
+    def test_usage_error_creates_no_output_directory(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("se-check", "--eps", "0", "--n", "100", "--t-max", "2",
+                       "--replicates", "1", "--out-dir", str(out)) == 1
+        assert not out.exists()
+
+    def test_nonpositive_c_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("se-check", "--c", "0", "--n", "100", "--t-max", "2",
+                       "--replicates", "1", "--out-dir", str(tmp_path / "o")) == 1
+        assert "c must be positive" in capsys.readouterr().err
 
     SE_ARGS = ("se-check", "--lambda", "1", "--mu", "1", "--c", "1", "--eps", "0.2",
                "--n", "100", "--t-max", "2", "--replicates", "1")

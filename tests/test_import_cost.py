@@ -1,8 +1,9 @@
-"""`import mvamp` must not load the heavy scipy submodules.
+"""`import mvamp` and the theory functions must not load scipy.
 
-scipy.sparse.linalg is imported lazily by the spectral start, and
-scipy.optimize is not used at all; either one on the import path would
-add a large share of the package's start-up time and memory.
+scipy.sparse.linalg is imported lazily by the spectral start, scipy.sparse
+by the network sampler and the edge-list writer, and scipy.optimize is not
+used at all.  The theory path needs only numpy; any scipy module on it
+would add a large share of the package's start-up time and memory.
 """
 
 import subprocess
@@ -20,3 +21,23 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code, src], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _scipy_modules_after(statements: str) -> str:
+    """The scipy modules loaded after running statements in a fresh interpreter."""
+    src = str(Path(mvamp.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); " + statements + "; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    return subprocess.run([sys.executable, "-c", code, src], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_import_loads_no_scipy_module():
+    assert _scipy_modules_after("import mvamp") == "[]"
+
+
+def test_theory_functions_load_no_scipy_module():
+    calls = ("import mvamp; mvamp.fixed_point_z(mvamp.SeConfig(lam=2.0, mu=0.9, c=5 / 3)); "
+             "mvamp.limit_mmse(2.0, 0.9, 5 / 3); mvamp.detection_possible(0.5, 0.5, 1.0); "
+             "mvamp.xi_limit(2.0, 0.9, 5 / 3); mvamp.scalar_mi(1.0)")
+    assert _scipy_modules_after(calls) == "[]"

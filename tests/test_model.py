@@ -185,6 +185,13 @@ class TestSbmLayer:
         a = layer.adjacency
         assert peak <= 8 * (a.data.nbytes + a.indices.nbytes + a.indptr.nbytes)
 
+    def test_adjacency_has_int32_indices(self):
+        lab = sample_labels(500, substream(3, 8))
+        params = rates_from_lambda(2.0, 0.7 / np.sqrt(500), 500)
+        a = sample_sbm_layer(lab, params, substream(3, 9)).adjacency
+        assert a.nnz > 0
+        assert a.indices.dtype == np.int32 and a.indptr.dtype == np.int32
+
     def test_determinism(self):
         lab = sample_labels(100, substream(4, 0))
         params = rates_from_lambda(1.5, 0.1, 100)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mvamp.scalar_channel import (DEFAULT_ORDER, gauss_hermite_rule, log_cosh,
-                                  scalar_mi, scalar_mmse)
+from mvamp.exceptions import ConvergenceError
+from mvamp.scalar_channel import (DEFAULT_ORDER, QuadratureRule, gauss_hermite_rule,
+                                  log_cosh, scalar_mi, scalar_mmse)
 
 from oracles import mmse_monte_carlo
 
@@ -35,6 +36,46 @@ class TestQuadratureRule:
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             gauss_hermite_rule(0)
+
+
+class TestQuadratureAgainstScipy:
+    """The numpy rule against scipy.special.roots_hermitenorm."""
+
+    ORDERS = list(range(1, 65)) + [200, 301, 500, 501, 502, 511, 600]
+
+    @staticmethod
+    def scipy_rule(k):
+        from scipy.special import roots_hermitenorm
+        nodes, weights = roots_hermitenorm(k)
+        return QuadratureRule(nodes=nodes, weights=weights / np.sqrt(2.0 * np.pi))
+
+    @pytest.mark.parametrize("k", ORDERS)
+    def test_nodes_and_weights_agree(self, k):
+        rule, ref = gauss_hermite_rule(k), self.scipy_rule(k)
+        x, w = rule.nodes, rule.weights
+        assert x.shape == w.shape == (k,)
+        assert np.all(np.diff(x) > 0.0)
+        np.testing.assert_array_equal(x, -x[::-1])
+        assert np.all(np.abs(x - ref.nodes) <= 1e-13 * np.maximum(1.0, np.abs(ref.nodes)))
+        assert np.max(np.abs(w - ref.weights)) <= 1e-14
+        assert np.all(w >= 0.0)
+        assert not np.any((w > 0.0) & (w < np.finfo(float).tiny))
+
+    def test_order_past_the_starting_values_raises(self):
+        # Tricomi's values for the largest nodes are too far off at this
+        # order for Newton; a wrong rule must not come back silently.
+        with pytest.raises(ConvergenceError):
+            gauss_hermite_rule(1200)
+
+    @pytest.mark.parametrize("fn", [scalar_mmse, scalar_mi])
+    def test_channel_functions_agree(self, fn):
+        # mi is eta minus an expectation of size about eta, so round-off in
+        # either rule moves it by a few units in the last place of eta
+        # (2 ulps, 1.4e-14, at eta = 49.2, where the numpy rule is the one
+        # closer to a 40-digit value).
+        ref = self.scipy_rule(DEFAULT_ORDER)
+        for eta in np.linspace(0.01, 50.0, 200):
+            assert abs(fn(eta) - fn(eta, rule=ref)) <= max(1e-14, 4 * np.spacing(eta))
 
 
 class TestScalarMmse:
