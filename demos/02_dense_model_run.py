@@ -27,7 +27,7 @@ b_op = RectOperator(cov.B)
 
 a0 = solve_a0(lam, mu, c)
 print(f"spectral combination weight a0 = {a0:.5f}")
-x0_vec, u0_vec = spectral_initialize(sym_op, b_op, a0, substream(seed, 4), tol=1e-6)
+x0_vec, u0_vec = spectral_initialize(sym_op, b_op, a0, substream(seed, 4))
 print(f"initial |overlap| of the spectral vector: "
       f"{abs(x0_vec @ labels.x_star) / n:.4f}")
 

@@ -34,8 +34,7 @@ cov = sample_covariates(labels, mu, p, substream(seed, 2))
 masks = sample_revelation(labels, cov.v_star, 0.0, substream(seed, 3))
 b_op = RectOperator(cov.B)
 
-x0_vec, u0_vec = spectral_initialize(A, b_op, solve_a0(lam, mu, c),
-                                     substream(seed, 4), tol=1e-6)
+x0_vec, u0_vec = spectral_initialize(A, b_op, solve_a0(lam, mu, c), substream(seed, 4))
 traj = se_run(SeConfig(lam=lam, mu=mu, c=c, t_max=101))
 out = run_amp(A, b_op, masks, traj, n_iter=100,
               init=init_spectral(x0_vec, u0_vec, masks, traj, p),

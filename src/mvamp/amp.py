@@ -23,7 +23,7 @@ initializations are supported: zero iterates with eps-revelation side
 information, and the practical spectral start: sqrt(n) times the leading
 eigenvector of S + a0 B^T B / p, found by Lanczos
 (:func:`mvamp.linalg.leading_eigenpair`), with the weight a0 from the
-quartic trade-off equation solved by :func:`solve_a0`.
+weight equation solved in closed form by :func:`solve_a0`.
 """
 
 from __future__ import annotations
@@ -239,9 +239,19 @@ def _a0_rhs(a: float, lam: float, mu: float, c: float) -> float:
     return (-lam + (c + mu) * a * a + np.sqrt(disc)) / (2.0 * mu)
 
 
-def solve_a0(lam: float, mu: float, c: float, tol: float = 1e-12) -> float:
-    """Spectral combination weight: the positive root of
-    rhs(a) = mu / (c lam), by bisection on the increasing rhs.
+def solve_a0(lam: float, mu: float, c: float) -> float:
+    """Spectral combination weight: the positive root a0 of
+    rhs(a) = t with t = mu / (c lam).
+
+    Write A = a^2 and s = lam + (c + mu) A.  The equation reads
+    sqrt(s^2 - 4 lam c A) = 2 mu t + lam - (c + mu) A; squaring it cancels
+    the (c + mu)^2 A^2 terms on both sides and leaves an equation linear in
+    A, 4 mu (lam + (c + mu) t) A = 4 mu t (lam + mu t), so
+
+        a0^2 = t (lam + mu t) / (lam + (c + mu) t).
+
+    Squaring adds no root: (c + mu) a0^2 < lam + mu t, so the right-hand
+    side of the unsquared equation stays positive.
 
     Undefined when either signal is absent (the initializer then
     degenerates to a single-source eigenvector problem).
@@ -252,32 +262,13 @@ def solve_a0(lam: float, mu: float, c: float, tol: float = 1e-12) -> float:
             f"lam={lam}, mu={mu}; use the single-source initializer instead")
     if c <= 0.0:
         raise ValueError(f"aspect ratio c must be positive, got {c}")
-    target = mu / (c * lam)
-    hi = 1.0
-    for _ in range(200):
-        if _a0_rhs(hi, lam, mu, c) > target:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("could not bracket the combination weight")
-    lo = 0.0
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        r = _a0_rhs(mid, lam, mu, c)
-        if abs(r - target) < tol:
-            return mid
-        if r < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-300:
-            break
-    return 0.5 * (lo + hi)
+    t = mu / (c * lam)
+    return float(np.sqrt(t * (lam + mu * t) / (lam + (c + mu) * t)))
 
 
 def spectral_initialize(sym_op: SymmetricOperator | None, b_op: RectOperator | None,
-                        a0: float, rng, tol: float = 1e-8,
-                        max_iter: int = 20_000) -> tuple[np.ndarray, np.ndarray]:
+                        a0: float, rng,
+                        tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
     """Leading eigenvector of the composed initializer matrix, scaled to
     norm sqrt(n), duplicated into the two label-orbit starting vectors.
 
@@ -285,6 +276,6 @@ def spectral_initialize(sym_op: SymmetricOperator | None, b_op: RectOperator | N
     signal, and no symmetric operator when the networks carry none.
     """
     op = compose_spectral_operator(sym_op, b_op, a0)
-    _, vec = leading_eigenpair(op, tol=tol, max_iter=max_iter, rng=rng)
+    _, vec = leading_eigenpair(op, tol=tol, rng=rng)
     scaled = np.sqrt(op.n) * vec
     return scaled.copy(), scaled.copy()

@@ -257,12 +257,12 @@ def run_replicate(cfg: ExperimentConfig, point_index: int, rep_index: int) -> Re
     else:
         rng = substream(cfg.seed, point_index, rep_index, _STREAM_INIT)
         if mu == 0:
-            x0_vec, u0_vec = spectral_initialize(sym_op, None, 0.0, rng, tol=1e-6)
+            x0_vec, u0_vec = spectral_initialize(sym_op, None, 0.0, rng)
         elif lam == 0:
-            x0_vec, u0_vec = spectral_initialize(None, b_op, 1.0, rng, tol=1e-6)
+            x0_vec, u0_vec = spectral_initialize(None, b_op, 1.0, rng)
         else:
             a0 = solve_a0(lam, mu, cfg.c)
-            x0_vec, u0_vec = spectral_initialize(sym_op, b_op, a0, rng, tol=1e-6)
+            x0_vec, u0_vec = spectral_initialize(sym_op, b_op, a0, rng)
         state = init_spectral(x0_vec, u0_vec, inst.masks, traj, cfg.p)
 
     x_star = inst.labels.x_star

@@ -175,8 +175,9 @@ def leading_eigenpair(op: SymmetricOperator, tol: float = 1e-10, max_iter: int =
     and the returned vector has unit norm with its largest-magnitude
     coordinate positive.
     """
-    # Imported here, not at module level: the import takes about a quarter of
-    # the time of `import mvamp`, and only the spectral start needs it.
+    # Imported here, not at module level: the import takes longer than all of
+    # `import mvamp` (about 0.3 s against 0.2 s on a 2-core VM), and only the
+    # spectral start needs it.
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     if tol <= 0.0:

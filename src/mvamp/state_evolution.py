@@ -50,8 +50,12 @@ __all__ = [
     "params_from_z",
 ]
 
-DEFAULT_TOL = 1e-12
-DEFAULT_T_MAX = 10_000
+# fixed_point_z stops once |dz| < _FP_TOL and gives up after _FP_MAX_STEPS.
+_FP_TOL = 1e-12
+_FP_MAX_STEPS = 10_000
+
+# Range of the uniform step-0 channel parameters of the "random-interval" start.
+_INIT_INTERVAL = (4.0, 10.0)
 
 
 def _ratio0(num: float, den: float) -> float:
@@ -73,11 +77,13 @@ class SeConfig:
       reconstruct all channel parameters from it (library default;
       reproducible without a seed).
     * ``"random-interval"`` - draw the four step-0 channel parameters
-      uniformly from ``init_interval`` (the simulation-protocol variant);
-      requires ``seed``.
+      uniformly from [4, 10] (the simulation-protocol variant); requires
+      ``seed``.
     * ``"zero"`` - the degenerate all-zero start; with eps > 0 the
       revelation pulls the recursion off the origin, with eps = 0 the
       trajectory stays identically zero.
+
+    ``t_max`` is the number of steps :func:`se_run` records.
     """
 
     lam: float
@@ -85,10 +91,8 @@ class SeConfig:
     c: float
     eps: float = 0.0
     init_mode: str = "deterministic-z1"
-    init_interval: tuple[float, float] = (4.0, 10.0)
     seed: int | None = None
-    t_max: int = DEFAULT_T_MAX
-    tol: float = DEFAULT_TOL
+    t_max: int = 10_000
     revealed_spike_snr: bool = False
 
     def __post_init__(self):
@@ -98,8 +102,8 @@ class SeConfig:
             raise ValueError(f"aspect ratio c must be positive, got {self.c}")
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"revelation fraction must lie in [0, 1], got {self.eps}")
-        if self.tol <= 0 or self.t_max < 1:
-            raise ValueError("tol must be positive and t_max >= 1")
+        if self.t_max < 1:
+            raise ValueError(f"t_max must be at least 1, got {self.t_max}")
         if self.init_mode not in ("deterministic-z1", "random-interval", "zero"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
 
@@ -124,6 +128,13 @@ def _covariate_weight(z: float, mu: float, eps: float, revealed_spike_snr: bool)
     return w
 
 
+def _label_snr(z: float, cfg: SeConfig) -> float:
+    """eta(z) = lam z + (mu / c) w(z): the snr of the channel that G_eps
+    and the mutual-information functional evaluate."""
+    w = _covariate_weight(z, cfg.mu, cfg.eps, cfg.revealed_spike_snr)
+    return cfg.lam * z + (cfg.mu / cfg.c) * w
+
+
 def se_scalar_step(z: float, cfg: SeConfig) -> float:
     """One application of the scalar map G_eps.
 
@@ -131,9 +142,7 @@ def se_scalar_step(z: float, cfg: SeConfig) -> float:
     """
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"scalar state must lie in [0, 1], got {z}")
-    w = _covariate_weight(z, cfg.mu, cfg.eps, cfg.revealed_spike_snr)
-    eta = cfg.lam * z + (cfg.mu / cfg.c) * w
-    return 1.0 - (1.0 - cfg.eps) * scalar_mmse(eta)
+    return 1.0 - (1.0 - cfg.eps) * scalar_mmse(_label_snr(z, cfg))
 
 
 def fixed_point_z(cfg: SeConfig) -> float:
@@ -141,7 +150,7 @@ def fixed_point_z(cfg: SeConfig) -> float:
 
     G_eps is increasing and concave with G_eps(1) <= 1, so the iterates
     decrease monotonically to the largest fixed point.  Raises
-    ConvergenceError when t_max steps do not reach |dz| < tol.
+    ConvergenceError when 10 000 steps do not reach |dz| < 1e-12.
 
     Without revelation the map has slope lam + mu^2/c at the origin, so at
     or below the detection threshold the only nonnegative fixed point is 0
@@ -152,25 +161,24 @@ def fixed_point_z(cfg: SeConfig) -> float:
     if cfg.eps == 0.0 and not detection_possible(cfg.lam, cfg.mu, cfg.c):
         return 0.0
     z = 1.0
-    for _ in range(cfg.t_max):
+    for _ in range(_FP_MAX_STEPS):
         z_next = se_scalar_step(z, cfg)
-        if abs(z_next - z) < cfg.tol:
+        if abs(z_next - z) < _FP_TOL:
             return z_next
         z = z_next
     residual = abs(se_scalar_step(z, cfg) - z)
     raise ConvergenceError(
-        f"fixed-point iteration did not reach tol={cfg.tol} within "
-        f"{cfg.t_max} steps (last residual {residual:.3e})",
-        residual=residual, iterations=cfg.t_max)
+        f"fixed-point iteration did not reach tol={_FP_TOL} within "
+        f"{_FP_MAX_STEPS} steps (last residual {residual:.3e})",
+        residual=residual, iterations=_FP_MAX_STEPS)
 
 
-def limit_mmse(lam: float, mu: float, c: float,
-               tol: float = DEFAULT_TOL, t_max: int = DEFAULT_T_MAX) -> float:
+def limit_mmse(lam: float, mu: float, c: float) -> float:
     """Asymptotic matrix MMSE, 1 - z*(lam, mu)^2.
 
     Equals 1 exactly when lam + mu^2 / c <= 1 and is < 1 otherwise.
     """
-    z_star = fixed_point_z(SeConfig(lam=lam, mu=mu, c=c, eps=0.0, tol=tol, t_max=t_max))
+    z_star = fixed_point_z(SeConfig(lam=lam, mu=mu, c=c))
     return 1.0 - z_star ** 2
 
 
@@ -181,39 +189,38 @@ def detection_possible(lam: float, mu: float, c: float) -> bool:
     return lam + mu ** 2 / c > 1.0
 
 
-def _xi(z: float, lam: float, mu: float, c: float) -> float:
-    """The mutual-information functional evaluated at an arbitrary state z."""
-    eta = lam * z + (mu ** 2 / c) * _ratio0(z, 1.0 + mu * z)
+def _xi(z: float, cfg: SeConfig) -> float:
+    """The mutual-information functional evaluated at an arbitrary state z
+    (cfg has eps = 0)."""
+    lam, mu, c = cfg.lam, cfg.mu, cfg.c
     return (lam * z ** 2 / 4.0
             - lam * z / 2.0
             + lam / 4.0
             + np.log1p(mu * z) / (2.0 * c)
             + (1.0 + mu) / ((1.0 + mu * z) * 2.0 * c)
-            + scalar_mi(eta)
+            + scalar_mi(_label_snr(z, cfg))
             - np.log1p(mu) / (2.0 * c)
             - 1.0 / (2.0 * c))
 
 
-def xi_limit(lam: float, mu: float, c: float,
-             tol: float = DEFAULT_TOL, t_max: int = DEFAULT_T_MAX) -> float:
+def xi_limit(lam: float, mu: float, c: float) -> float:
     """Limit of the per-vertex mutual information, evaluated at z*(lam, mu).
 
     Zero when both signals vanish; saturates at log 2 for strong network
     signal.
     """
-    z_star = fixed_point_z(SeConfig(lam=lam, mu=mu, c=c, eps=0.0, tol=tol, t_max=t_max))
-    return float(_xi(z_star, lam, mu, c))
+    cfg = SeConfig(lam=lam, mu=mu, c=c)
+    return float(_xi(fixed_point_z(cfg), cfg))
 
 
-def gamma_star(mu: float, c: float,
-               tol: float = DEFAULT_TOL, t_max: int = DEFAULT_T_MAX) -> float:
+def gamma_star(mu: float, c: float) -> float:
     """Covariate-only fixed point: largest root of
     z = 1 - mmse((mu^2 / c) z / (1 + mu z)).
 
     Zero whenever mu^2 / c <= 1.  This is z*(0, mu), so the same monotone
     iteration applies.
     """
-    return fixed_point_z(SeConfig(lam=0.0, mu=mu, c=c, eps=0.0, tol=tol, t_max=t_max))
+    return fixed_point_z(SeConfig(lam=0.0, mu=mu, c=c))
 
 
 def params_from_z(z: float, lam: float, mu: float, c: float, eps: float,
@@ -309,8 +316,7 @@ def se_run(cfg: SeConfig) -> SeTrajectory:
         alpha[0], tau2[0], mu_t[0], sigma2[0] = p0.alpha, p0.tau2, p0.mu_t, p0.sigma2
     elif cfg.init_mode == "random-interval":
         rng = np.random.default_rng(cfg.seed)
-        lo, hi = cfg.init_interval
-        m0, s0, a_prev, t_prev = rng.uniform(lo, hi, size=4)
+        m0, s0, a_prev, t_prev = rng.uniform(*_INIT_INTERVAL, size=4)
         alpha[0], tau2[0] = a_prev, t_prev ** 2
         mu_t[0], sigma2[0] = m0, s0 ** 2
     # "zero" mode leaves row 0 at the all-zero degenerate start.

@@ -333,6 +333,33 @@ class TestSolveA0:
                     a0 = solve_a0(lam, mu, c)
                     assert abs(_a0_rhs(a0, lam, mu, c) - mu / (c * lam)) < 1e-10
 
+    def test_matches_high_precision_root(self):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+
+        def mp_root(lam, mu, c):
+            lam, mu, c = mp.mpf(lam), mp.mpf(mu), mp.mpf(c)
+            target = mu / (c * lam)
+
+            def f(a):  # _a0_rhs(a) - target at 50 digits
+                s = lam + (c + mu) * a * a
+                return (-lam + (c + mu) * a * a
+                        + mp.sqrt(s * s - 4 * lam * c * a * a)) / (2 * mu) - target
+
+            hi = mp.mpf(1)  # the root lies in [hi / 2, hi]: rhs is increasing
+            while f(hi) < 0:
+                hi *= 2
+            while f(hi / 2) > 0:
+                hi /= 2
+            return mp.findroot(f, (hi / 2, hi), solver="illinois")
+
+        for lam in np.logspace(-3, 1, 9):
+            for mu in np.logspace(-3, 1, 9):
+                for c in (0.1, 1.0, 10.0):
+                    exact = mp_root(lam, mu, c)
+                    assert abs(solve_a0(lam, mu, c) - exact) <= 1e-14 * exact
+
     def test_degenerate_signals_rejected(self):
         with pytest.raises(ValueError):
             solve_a0(0.0, 1.0, 1.0)

@@ -80,7 +80,7 @@ class TestFixedPoint:
     def test_residual_contract(self):
         c = cfg(2.5, 0.7, 1.2)
         z = fixed_point_z(c)
-        assert abs(z - se_scalar_step(z, c)) < 10 * c.tol
+        assert abs(z - se_scalar_step(z, c)) < 1e-11
 
     def test_monotone_in_signal_strengths(self):
         zs = [fixed_point_z(cfg(lam, 0.5, 1.0)) for lam in (1.0, 2.0, 3.0, 4.0)]
@@ -96,9 +96,12 @@ class TestFixedPoint:
         assert gaps[2] < 1e-5
 
     def test_convergence_error_carries_residual(self):
+        # 1e-4 above the threshold G'(z*) is so close to 1 that the
+        # iteration cap is reached first.
         with pytest.raises(ConvergenceError) as err:
-            fixed_point_z(cfg(4.0, 0.0, 1.0, t_max=3))
-        assert err.value.residual is not None
+            fixed_point_z(cfg(1.0 - 0.81 / (5.0 / 3.0) + 1e-4, 0.9, 5.0 / 3.0))
+        assert 1e-9 < err.value.residual < 1e-8
+        assert err.value.iterations == 10_000
 
 
 class TestLimits:
