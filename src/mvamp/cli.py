@@ -10,30 +10,36 @@ Three subcommands:
 * ``se-check`` - track the zero-initialized revelation run against the
   per-step state-evolution prediction.
 
-Settings may come from an INI-style config file (one section per
-subcommand plus ``[common]``, whose keys apply to every subcommand that
-reads them); command-line flags override file values, and the effective
-configuration is echoed into the output directory.
+Each subcommand declares its settings once, in a table of :class:`Opt`
+entries; the table gives the flags, the ``--help`` defaults, the config
+keys and the echo.  Settings may come from an INI-style config file (one
+section per subcommand plus ``[common]``, whose keys apply to every
+subcommand that reads them); command-line flags override file values.
+Range checks are the library's: the configuration objects are built
+before the output directory is created, so a usage error leaves nothing
+behind.  The effective configuration is echoed to ``config_used.ini`` in
+the output directory, with reals in shortest round-trip form, so that
+``--config <out>/config_used.ini`` replays the run.
 Wall-clock times are written to a separate ``timings.csv`` so that every
 value-bearing CSV is byte-identical across reruns with the same seed.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or convergence failure.
-The default thread count can be set with the ``MVAMP_THREADS`` environment
-variable; a value that is not a positive integer is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from .exceptions import MvampError
-from .experiments import ExperimentConfig, draw_instance, run_sweep, se_consistency_check
+from .experiments import (FAMILIES, INITS, SE_INIT_MODES, SWEEP_PARAMS, ExperimentConfig,
+                          draw_instance, run_sweep, se_consistency_check)
 from .model import write_covariates_csv, write_edge_list, write_labels_csv
 from .state_evolution import SeConfig, detection_possible, fixed_point_z, limit_mmse, xi_limit
 
@@ -73,7 +79,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def parse_grid(spec: str, name: str) -> tuple[float, ...]:
+def parse_grid(spec: str, name: str = "grid") -> tuple[float, ...]:
     """Grid syntax: comma list "0.5,1,2" or linspace "lo:hi:count"."""
     spec = spec.strip()
     try:
@@ -89,72 +95,111 @@ def parse_grid(spec: str, name: str) -> tuple[float, ...]:
             f"could not parse {name}={spec!r}; use 'a,b,c' or 'lo:hi:count'") from None
 
 
+def _bool(text: str) -> bool:
+    """Config-file boolean: true/false, yes/no or 1/0, any case."""
+    low = text.lower()
+    if low not in ("true", "false", "1", "0", "yes", "no"):
+        raise ValueError(text)
+    return low in ("true", "1", "yes")
+
+
+def _text(value) -> str:
+    """Config-file form of a value that parses back to it exactly: reals in
+    shortest round-trip form, tuples comma-joined, booleans lowercase."""
+    if isinstance(value, tuple):
+        return ",".join(_text(v) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 # ----------------------------------------------------------------------
-# Config file handling: defaults < file < flags.
+# Settings: flag > own config section > [common] > default.
 
-def _load_config(path: str | None, section: str) -> tuple[dict[str, str], dict[str, str]]:
-    """The ``[common]`` and the subcommand's own section of a config file."""
-    if path is None:
-        return {}, {}
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"config file not found: {path}")
-    return tuple(dict(parser.items(sec)) if parser.has_section(sec) else {}
-                 for sec in ("common", section))
+@dataclass(frozen=True)
+class Opt:
+    """One setting: its flag and config key, the parser of its text form,
+    its default as text (None: required), help text and allowed values."""
 
-
-class Settings:
-    """Merged view of defaults, config-file values, and flags."""
-
-    def __init__(self, args: argparse.Namespace, section: str):
-        self._args = vars(args)
-        self._common, self._own = _load_config(self._args.get("config"), section)
-        self._known_keys = set()
-
-    def get(self, key: str, default, cast):
-        """Flag if given, else own section, else ``[common]``, else default."""
-        self._known_keys.add(key)
-        flag = self._args.get(key.replace("-", "_"))
-        if flag is not None:
-            return flag
-        raw = self._own.get(key, self._common.get(key))
-        if raw is not None:
-            try:
-                if cast is bool:
-                    if raw.lower() not in ("true", "false", "1", "0", "yes", "no"):
-                        raise ValueError
-                    return raw.lower() in ("true", "1", "yes")
-                return cast(raw)
-            except (ValueError, TypeError):
-                raise UsageError(f"bad value for config key '{key}': {raw!r}") from None
-        return default
-
-    def reject_unknown(self):
-        """A section key this subcommand does not read, or a ``[common]`` key
-        that no subcommand reads, is a usage error."""
-        unknown = (set(self._own) - self._known_keys) | (
-            set(self._common) - self._args["config_keys"])
-        if unknown:
-            raise UsageError(f"unknown config key '{sorted(unknown)[0]}'")
+    key: str
+    parse: Callable[[str], Any]
+    default: str | None
+    help: str
+    choices: tuple[str, ...] | None = None
 
 
-def _echo_config(out_dir: Path, section: str, pairs: dict) -> None:
-    lines = [f"[{section}]"] + [f"{k} = {v}" for k, v in pairs.items()]
-    (out_dir / "config_used.ini").write_text("\n".join(lines) + "\n")
+OUT_DIR = Opt("out-dir", Path, "mvamp-out", "output directory")
+SEED = Opt("seed", int, "0", "root seed")
+THREADS = Opt("threads", int, "1", "worker threads")
+
+TABLES = {
+    "theory": (
+        Opt("lambda-grid", parse_grid, None, "network strengths: 'a,b,c' or 'lo:hi:count'"),
+        Opt("mu-grid", parse_grid, None, "covariate strengths: same syntax"),
+        Opt("c", float, None, "subjects-per-feature ratio n/p"),
+        Opt("eps", float, "0", "revelation fraction for z_star"),
+        OUT_DIR),
+    "simulate": (
+        Opt("family", str, "gaussian", "model family", FAMILIES),
+        Opt("n", int, "1500", "number of subjects"),
+        Opt("p", int, "900", "number of covariates"),
+        Opt("sweep", str, "lambda", "which parameter varies", SWEEP_PARAMS),
+        Opt("grid", parse_grid, "0.5:4.5:9", "swept values: 'a,b,c' or 'lo:hi:count'"),
+        Opt("fixed", float, "0.9", "the held-fixed parameter value"),
+        Opt("replicates", int, "10", "replicates per point"),
+        Opt("n-iter", int, "100", "iterations per replicate"),
+        Opt("init", str, "spectral", "initialization", INITS),
+        Opt("eps", float, "0", "revelation fraction for revelation init"),
+        Opt("m", int, "1", "number of network layers"),
+        Opt("r-fractions", parse_grid, "1", "per-layer strength fractions, summing to 1"),
+        Opt("p-bar-coeffs", parse_grid, "0.7",
+            "per-layer density coefficients k: p_bar=k/sqrt(n)"),
+        Opt("se-init", str, "deterministic-z1", "denoiser-schedule seeding", SE_INIT_MODES),
+        Opt("svg", _bool, "false", "also write an overlay plot (plot.svg)"),
+        Opt("export-instance", _bool, "false", "dump the first replicate's instance "
+            "(labels.csv, covariates.csv, layer_i_edges.txt)"),
+        SEED, THREADS, OUT_DIR),
+    "se-check": (
+        Opt("lambda", float, "2", "network strength"),
+        Opt("mu", float, "1", "covariate strength"),
+        Opt("c", float, "1", "subjects-per-feature ratio"),
+        Opt("eps", float, "0.1", "revelation fraction, must be > 0"),
+        Opt("n", int, "4000", "number of subjects"),
+        Opt("t-max", int, "10", "steps to track"),
+        Opt("replicates", int, "10", "replicates"),
+        SEED, THREADS, OUT_DIR),
+}
 
 
-def _out_dir(settings: Settings) -> Path:
-    """The output directory; create it only once the inputs are validated,
-    so that a usage error leaves nothing behind."""
-    return Path(settings.get("out-dir", "mvamp-out", str))
-
-
-def _threads_default() -> int:
-    env = os.environ.get("MVAMP_THREADS", "").strip() or "1"
-    if not env.isdecimal() or int(env) < 1:
-        raise UsageError(f"MVAMP_THREADS must be a positive integer, got {env!r}")
-    return int(env)
+def _settings(args: argparse.Namespace) -> dict[str, Any]:
+    """The value of every key of the subcommand's table; an unknown key in
+    its config section, or in ``[common]`` one that no subcommand reads, is
+    a usage error."""
+    table = TABLES[args.command]
+    own, common = {}, {}
+    if args.config is not None:
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            if not parser.read(args.config):
+                raise UsageError(f"config file not found: {args.config}")
+        except configparser.Error as exc:
+            raise UsageError(f"malformed config file {args.config}: {exc}") from None
+        own, common = (dict(parser.items(sec)) if parser.has_section(sec) else {}
+                       for sec in (args.command, "common"))
+    unknown = ((set(own) - {opt.key for opt in table})
+               | (set(common) - {opt.key for t in TABLES.values() for opt in t}))
+    if unknown:
+        raise UsageError(f"unknown config key '{sorted(unknown)[0]}'")
+    flags = vars(args)
+    values = {}
+    for opt in table:
+        text = next((t for t in (flags[opt.key], own.get(opt.key), common.get(opt.key),
+                                 opt.default) if t is not None), None)
+        try:
+            values[opt.key] = None if text is None else opt.parse(text)
+        except (ValueError, UsageError):
+            raise UsageError(f"bad value for '{opt.key}': {text!r} ({opt.help})") from None
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -232,38 +277,31 @@ def svg_plot(path: Path, x: np.ndarray, theory: np.ndarray, mean: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# Subcommands.
+# Subcommands: each builds its library objects, and with them all range
+# checks, before it creates the output directory.
 
-def cmd_theory(args: argparse.Namespace) -> int:
-    st = Settings(args, "theory")
-    lam_spec = st.get("lambda-grid", None, str)
-    mu_spec = st.get("mu-grid", None, str)
-    lam_grid = parse_grid(lam_spec, "lambda-grid") if lam_spec else None
-    mu_grid = parse_grid(mu_spec, "mu-grid") if mu_spec else None
-    c = st.get("c", None, float)
-    eps = st.get("eps", 0.0, float)
-    out = _out_dir(st)
-    st.reject_unknown()
-    if lam_grid is None or mu_grid is None or c is None:
+def _checked(build, **kwargs):
+    """``build(**kwargs)``, with a ValueError of the library's argument
+    checks reported as a usage error."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def cmd_theory(s: dict[str, Any]) -> int:
+    lam_grid, mu_grid, c = s["lambda-grid"], s["mu-grid"], s["c"]
+    if not lam_grid or not mu_grid or c is None:
         raise UsageError("theory requires --lambda-grid, --mu-grid and --c")
-    if c <= 0:
-        raise UsageError(f"c must be positive, got {c}")
-    if any(v < 0 for v in lam_grid) or any(v < 0 for v in mu_grid):
-        raise UsageError("grid values must be nonnegative")
+    cfgs = [_checked(SeConfig, lam=lam, mu=mu, c=c, eps=s["eps"])
+            for lam in lam_grid for mu in mu_grid]
+    out = s["out-dir"]
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for lam in lam_grid:
-        for mu in mu_grid:
-            z = fixed_point_z(SeConfig(lam=lam, mu=mu, c=c, eps=eps))
-            rows.append([lam, mu, c, z, limit_mmse(lam, mu, c),
-                         detection_possible(lam, mu, c), xi_limit(lam, mu, c)])
+    rows = [[f.lam, f.mu, c, fixed_point_z(f), limit_mmse(f.lam, f.mu, c),
+             detection_possible(f.lam, f.mu, c), xi_limit(f.lam, f.mu, c)] for f in cfgs]
     write_csv(out / "theory.csv",
               ["lambda", "mu", "c", "z_star", "limit_mmse", "detectable", "xi"], rows)
-    _echo_config(out, "theory", {
-        "lambda-grid": ",".join(f"{v:.12g}" for v in lam_grid),
-        "mu-grid": ",".join(f"{v:.12g}" for v in mu_grid),
-        "c": f"{c:.12g}", "eps": f"{eps:.12g}", "out-dir": out})
     print(f"wrote {out / 'theory.csv'} ({len(rows)} rows)")
     return 0
 
@@ -278,39 +316,14 @@ def _export_instance(cfg: ExperimentConfig, out: Path) -> None:
             write_edge_list(layer, out / f"layer_{i}_edges.txt")
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    st = Settings(args, "simulate")
-    family = st.get("family", "gaussian", str)
-    n = st.get("n", 1500, int)
-    p = st.get("p", 900, int)
-    sweep = st.get("sweep", "lambda", str)
-    grid_spec = st.get("grid", "0.5:4.5:9", str)
-    fixed = st.get("fixed", 0.9, float)
-    replicates = st.get("replicates", 10, int)
-    n_iter = st.get("n-iter", 100, int)
-    seed = st.get("seed", 0, int)
-    init = st.get("init", "spectral", str)
-    eps = st.get("eps", 0.0, float)
-    m = st.get("m", 1, int)
-    r_spec = st.get("r-fractions", "1", str)
-    pb_spec = st.get("p-bar-coeffs", "0.7", str)
-    se_init = st.get("se-init", "deterministic-z1", str)
-    threads = st.get("threads", _threads_default(), int)
-    svg = st.get("svg", False, bool)
-    export = st.get("export-instance", False, bool)
-    out = _out_dir(st)
-    st.reject_unknown()
-
-    try:
-        cfg = ExperimentConfig(
-            family=family, n=n, p=p, sweep_param=sweep,
-            grid=parse_grid(grid_spec, "grid"), fixed_value=fixed,
-            replicates=replicates, n_iter=n_iter, seed=seed, init=init, eps=eps,
-            m=m, r_fractions=parse_grid(r_spec, "r-fractions"),
-            p_bar_coeffs=parse_grid(pb_spec, "p-bar-coeffs"),
-            se_init_mode=se_init, threads=threads)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def cmd_simulate(s: dict[str, Any]) -> int:
+    cfg = _checked(
+        ExperimentConfig, family=s["family"], n=s["n"], p=s["p"], sweep_param=s["sweep"],
+        grid=s["grid"], fixed_value=s["fixed"], replicates=s["replicates"],
+        n_iter=s["n-iter"], seed=s["seed"], init=s["init"], eps=s["eps"], m=s["m"],
+        r_fractions=s["r-fractions"], p_bar_coeffs=s["p-bar-coeffs"],
+        se_init_mode=s["se-init"], threads=s["threads"])
+    out = s["out-dir"]
     out.mkdir(parents=True, exist_ok=True)
 
     aggs = run_sweep(cfg)
@@ -323,63 +336,43 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_csv(out / "timings.csv", ["lambda", "mu", "wall_time_s"],
               [[a.lam, a.mu, a.wall_time_s] for a in aggs])
 
-    if svg:
-        x = np.array([a.lam if sweep == "lambda" else a.mu for a in aggs])
+    if s["svg"]:
+        x = np.array([a.lam if cfg.sweep_param == "lambda" else a.mu for a in aggs])
         svg_plot(out / "plot.svg", x,
                  np.array([a.theory_mmse for a in aggs]),
                  np.array([a.mean_mse for a in aggs]),
                  np.array([0.0 if np.isnan(a.sd_mse) else a.sd_mse for a in aggs]),
-                 xlabel=sweep,
-                 title=f"{family}: empirical vs theoretical matrix MSE")
-    if export:
+                 xlabel=cfg.sweep_param,
+                 title=f"{cfg.family}: empirical vs theoretical matrix MSE")
+    if s["export-instance"]:
         _export_instance(cfg, out)
 
-    _echo_config(out, "simulate", {
-        "family": family, "n": n, "p": p, "sweep": sweep,
-        "grid": ",".join(f"{v:.12g}" for v in cfg.grid), "fixed": f"{fixed:.12g}",
-        "replicates": replicates, "n-iter": n_iter, "seed": seed, "init": init,
-        "eps": f"{eps:.12g}", "m": m,
-        "r-fractions": ",".join(f"{v:.12g}" for v in cfg.r_fractions),
-        "p-bar-coeffs": ",".join(f"{v:.12g}" for v in cfg.p_bar_coeffs),
-        "se-init": se_init, "threads": threads, "out-dir": out})
     n_err = sum(len(a.errors) for a in aggs)
     print(f"wrote {out / 'results.csv'} ({len(rows)} grid points, "
           f"{n_err} errors recorded)")
     return 2 if n_err else 0
 
 
-def cmd_se_check(args: argparse.Namespace) -> int:
-    st = Settings(args, "se-check")
-    lam = st.get("lambda", 2.0, float)
-    mu = st.get("mu", 1.0, float)
-    c = st.get("c", 1.0, float)
-    eps = st.get("eps", 0.1, float)
-    n = st.get("n", 4000, int)
-    t_max = st.get("t-max", 10, int)
-    replicates = st.get("replicates", 10, int)
-    seed = st.get("seed", 0, int)
-    threads = st.get("threads", _threads_default(), int)
-    out = _out_dir(st)
-    st.reject_unknown()
-    if not 0.0 < eps <= 1.0:
-        raise UsageError(f"se-check requires eps in (0, 1], got {eps}")
-
-    try:
-        report = se_consistency_check(lam=lam, mu=mu, c=c, eps=eps, n=n, t_max=t_max,
-                                      replicates=replicates, seed=seed, threads=threads)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def cmd_se_check(s: dict[str, Any]) -> int:
+    report = _checked(
+        se_consistency_check, lam=s["lambda"], mu=s["mu"], c=s["c"], eps=s["eps"],
+        n=s["n"], t_max=s["t-max"], replicates=s["replicates"], seed=s["seed"],
+        threads=s["threads"])
+    out = s["out-dir"]
     out.mkdir(parents=True, exist_ok=True)
     rows = [[int(t), zt, ov, gap] for t, zt, ov, gap in
             zip(report.t, report.z_theory, report.mean_overlap, report.abs_gap)]
     write_csv(out / "se_check.csv",
               ["t", "z_t_theory", "mean_overlap_empirical", "abs_gap"], rows)
-    _echo_config(out, "se-check", {
-        "lambda": f"{lam:.12g}", "mu": f"{mu:.12g}", "c": f"{c:.12g}",
-        "eps": f"{eps:.12g}", "n": n, "t-max": t_max, "replicates": replicates,
-        "seed": seed, "threads": threads, "out-dir": out})
     print(f"wrote {out / 'se_check.csv'} (max gap {report.abs_gap.max():.4g})")
     return 0
+
+
+COMMANDS = {
+    "theory": (cmd_theory, "tabulate closed-form limits over a grid"),
+    "simulate": (cmd_simulate, "Monte-Carlo sweep for one model family"),
+    "se-check": (cmd_se_check, "empirical overlap vs state evolution per step"),
+}
 
 
 # ----------------------------------------------------------------------
@@ -388,72 +381,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="mvamp", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="{theory,simulate,se-check}")
-
-    def common(sp, seeded=True):
+    for name, (_, summary) in COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", help="INI config file; flags override its values")
-        sp.add_argument("--out-dir", help="output directory (default mvamp-out)")
-        if seeded:
-            sp.add_argument("--seed", type=int, help="root seed (default 0)")
-            sp.add_argument("--threads", type=int,
-                            help="worker threads (default: MVAMP_THREADS or 1)")
-
-    th = sub.add_parser("theory", help="tabulate closed-form limits over a grid")
-    th.add_argument("--lambda-grid",
-                    help="network strengths: 'a,b,c' or 'lo:hi:count' (required)")
-    th.add_argument("--mu-grid", help="covariate strengths: same syntax (required)")
-    th.add_argument("--c", type=float, help="subjects-per-feature ratio n/p (required)")
-    th.add_argument("--eps", type=float, help="revelation fraction for z_star (default 0)")
-    common(th, seeded=False)
-    th.set_defaults(func=cmd_theory)
-
-    si = sub.add_parser("simulate", help="Monte-Carlo sweep for one model family")
-    si.add_argument("--family", choices=["gaussian", "contextual-sbm", "multilayer"],
-                    help="model family (default gaussian)")
-    si.add_argument("--n", type=int, help="number of subjects (default 1500)")
-    si.add_argument("--p", type=int, help="number of covariates (default 900)")
-    si.add_argument("--sweep", choices=["lambda", "mu"],
-                    help="which parameter varies (default lambda)")
-    si.add_argument("--grid", help="swept values: 'a,b,c' or 'lo:hi:count' "
-                                   "(default 0.5:4.5:9)")
-    si.add_argument("--fixed", type=float,
-                    help="the held-fixed parameter value (default 0.9)")
-    si.add_argument("--replicates", type=int, help="replicates per point (default 10)")
-    si.add_argument("--n-iter", type=int, help="iterations per replicate (default 100)")
-    si.add_argument("--init", choices=["spectral", "revelation"],
-                    help="initialization (default spectral)")
-    si.add_argument("--eps", type=float,
-                    help="revelation fraction for revelation init (default 0)")
-    si.add_argument("--m", type=int, help="number of network layers (default 1)")
-    si.add_argument("--r-fractions",
-                    help="per-layer strength fractions, summing to 1 (default 1)")
-    si.add_argument("--p-bar-coeffs",
-                    help="per-layer density coefficients k: p_bar=k/sqrt(n) (default 0.7)")
-    si.add_argument("--se-init", choices=["deterministic-z1", "random-interval"],
-                    help="denoiser-schedule seeding (default deterministic-z1)")
-    si.add_argument("--svg", action="store_const", const=True,
-                    help="also write an overlay plot (plot.svg)")
-    si.add_argument("--export-instance", action="store_const", const=True,
-                    help="dump the first replicate's instance (labels.csv, "
-                         "covariates.csv, layer_i_edges.txt)")
-    common(si)
-    si.set_defaults(func=cmd_simulate)
-
-    se = sub.add_parser("se-check", help="empirical overlap vs state evolution per step")
-    se.add_argument("--lambda", type=float, dest="lambda",
-                    help="network strength (default 2)")
-    se.add_argument("--mu", type=float, help="covariate strength (default 1)")
-    se.add_argument("--c", type=float, help="subjects-per-feature ratio (default 1)")
-    se.add_argument("--eps", type=float,
-                    help="revelation fraction, must be > 0 (default 0.1)")
-    se.add_argument("--n", type=int, help="number of subjects (default 4000)")
-    se.add_argument("--t-max", type=int, help="steps to track (default 10)")
-    se.add_argument("--replicates", type=int, help="replicates (default 10)")
-    common(se)
-    se.set_defaults(func=cmd_se_check)
-
-    # A [common] config key is valid when some subcommand has that flag.
-    keys = {action.dest.replace("_", "-") for sp in (th, si, se) for action in sp._actions}
-    parser.set_defaults(config_keys=keys - {"config", "help"})
+        for opt in TABLES[name]:
+            shown = "required" if opt.default is None else f"default {opt.default}"
+            desc = f"{opt.help} ({shown})"
+            if opt.parse is _bool:
+                sp.add_argument("--" + opt.key, dest=opt.key, action="store_const",
+                                const="true", help=desc)
+            else:
+                sp.add_argument("--" + opt.key, dest=opt.key, choices=opt.choices, help=desc)
     return parser
 
 
@@ -461,9 +399,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
+        if args.command is None:
             raise UsageError("a subcommand is required: theory, simulate, or se-check")
-        return args.func(args)
+        settings = _settings(args)
+        code = COMMANDS[args.command][0](settings)
+        (settings["out-dir"] / "config_used.ini").write_text("".join(
+            [f"[{args.command}]\n"] + [f"{k} = {_text(v)}\n" for k, v in settings.items()]))
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

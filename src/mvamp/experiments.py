@@ -21,6 +21,7 @@ Model families:
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -52,6 +53,9 @@ __all__ = [
 ]
 
 FAMILIES = ("gaussian", "contextual-sbm", "multilayer")
+SWEEP_PARAMS = ("lambda", "mu")
+INITS = ("spectral", "revelation")
+SE_INIT_MODES = ("deterministic-z1", "random-interval")
 
 # Sub-seed stream tags within one replicate.
 _STREAM_LABELS = 0
@@ -94,7 +98,9 @@ class ExperimentConfig:
     other of (lambda, mu) is held at ``fixed_value``.  ``init`` selects the
     spectral start or zero iterates with eps-revelation.  ``r_fractions``
     must be positive and sum to one; layer i gets strength r_i * lambda
-    and density p_bar_coeffs[i] / sqrt(n).
+    and density p_bar_coeffs[i] / sqrt(n) in (0, 1).  ``contextual-sbm``
+    has one layer (m = 1); ``gaussian`` ignores m, r_fractions and
+    p_bar_coeffs.
     """
 
     family: str
@@ -117,27 +123,37 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.sweep_param not in ("lambda", "mu"):
+        if self.sweep_param not in SWEEP_PARAMS:
             raise ValueError(f"sweep_param must be 'lambda' or 'mu', got {self.sweep_param!r}")
         if len(self.grid) == 0:
             raise ValueError("sweep grid is empty")
+        if not all(math.isfinite(g) for g in (*self.grid, self.fixed_value)):
+            raise ValueError("grid values and fixed_value must be finite")
         if any(g < 0 for g in self.grid) or self.fixed_value < 0:
             raise ValueError("grid values and fixed_value must be nonnegative")
         if self.n < 2 or self.p < 1 or self.replicates < 1 or self.n_iter < 1:
             raise ValueError("n >= 2, p >= 1, replicates >= 1, n_iter >= 1 required")
         if self.threads < 1:
             raise ValueError(f"threads must be a positive integer, got {self.threads}")
-        if self.init not in ("spectral", "revelation"):
+        if self.init not in INITS:
             raise ValueError(f"init must be 'spectral' or 'revelation', got {self.init!r}")
         if self.init == "revelation" and not 0.0 < self.eps <= 1.0:
             raise ValueError("revelation init requires eps in (0, 1]")
-        if self.family == "multilayer":
+        if self.se_init_mode not in SE_INIT_MODES:
+            raise ValueError(f"se_init_mode must be one of {SE_INIT_MODES}, "
+                             f"got {self.se_init_mode!r}")
+        if self.family == "contextual-sbm" and self.m != 1:
+            raise ValueError(f"contextual-sbm has one network layer, got m={self.m}")
+        if self.family != "gaussian":
             if self.m < 1 or len(self.r_fractions) != self.m or len(self.p_bar_coeffs) != self.m:
-                raise ValueError("multilayer needs m matching r_fractions and p_bar_coeffs")
-            if any(r <= 0 for r in self.r_fractions):
+                raise ValueError(f"{self.family} needs m matching r_fractions and p_bar_coeffs")
+            if not all(r > 0 for r in self.r_fractions):
                 raise ValueError("strength fractions must be positive")
-            if abs(sum(self.r_fractions) - 1.0) > 1e-12:
+            if not abs(sum(self.r_fractions) - 1.0) <= 1e-12:
                 raise ValueError(f"strength fractions must sum to 1, got {sum(self.r_fractions)}")
+            if not all(0.0 < k < math.sqrt(self.n) for k in self.p_bar_coeffs):
+                raise ValueError("density coefficients k must give p_bar = k / sqrt(n) "
+                                 f"in (0, 1), got {self.p_bar_coeffs}")
 
     @property
     def c(self) -> float:
@@ -197,9 +213,7 @@ class ReplicateInstance:
 
 def _layer_specs(cfg: ExperimentConfig) -> list[tuple[float, float]]:
     """(strength fraction r_i, density coefficient) of each network layer."""
-    if cfg.family == "multilayer":
-        return list(zip(cfg.r_fractions, cfg.p_bar_coeffs))
-    return [(1.0, cfg.p_bar_coeffs[0])]
+    return list(zip(cfg.r_fractions, cfg.p_bar_coeffs))
 
 
 def draw_instance(cfg: ExperimentConfig, point_index: int,

@@ -28,6 +28,7 @@ eps = 0 (all the z* / MMSE / xi theory is evaluated there):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -96,6 +97,9 @@ class SeConfig:
     revealed_spike_snr: bool = False
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.lam, self.mu, self.c, self.eps)):
+            raise ValueError(f"lam, mu, c and eps must be finite, got "
+                             f"{self.lam}, {self.mu}, {self.c}, {self.eps}")
         if self.lam < 0 or self.mu < 0:
             raise ValueError("signal strengths must be nonnegative")
         if self.c <= 0:
@@ -106,6 +110,8 @@ class SeConfig:
             raise ValueError(f"t_max must be at least 1, got {self.t_max}")
         if self.init_mode not in ("deterministic-z1", "random-interval", "zero"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
+        if self.init_mode == "random-interval" and self.seed is None:
+            raise ValueError("init_mode 'random-interval' requires a seed")
 
 
 class SeParams(NamedTuple):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvamp.cli import main, parse_grid, UsageError
+from mvamp.cli import TABLES, main, parse_grid, UsageError
 from mvamp.experiments import ExperimentConfig, draw_instance
 from mvamp.model import write_covariates_csv, write_edge_list, write_labels_csv
 
@@ -187,18 +187,6 @@ class TestSimulateCommand:
         row = (out / "results.csv").read_text().splitlines()[1]
         assert float(row.split(",")[8]) < 1.0  # mean mse: revelation helps
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_thread_variable_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("MVAMP_THREADS", value)
-        assert run_cli(*self.ARGS, "--out-dir", str(tmp_path / "o")) == 1
-        assert "MVAMP_THREADS" in capsys.readouterr().err
-
-    def test_thread_variable_sets_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MVAMP_THREADS", "2")
-        out = tmp_path / "o"
-        assert run_cli(*self.ARGS, "--out-dir", str(out)) == 0
-        assert "threads = 2" in (out / "config_used.ini").read_text().splitlines()
-
     @pytest.mark.parametrize("value", ["-3", "0"])
     def test_nonpositive_thread_flag_is_usage_error(self, tmp_path, capsys, value):
         assert run_cli(*self.ARGS, "--threads", value, "--out-dir", str(tmp_path / "o")) == 1
@@ -318,3 +306,52 @@ def test_no_subcommand_is_usage_error():
 
 def test_unknown_subcommand_is_usage_error():
     assert run_cli("frobnicate") == 1
+
+
+@pytest.mark.parametrize("args,ini", [
+    (("theory", "--lambda-grid", "1", "--mu-grid", "1", "--c", "1", "--eps", "1.5"), None),
+    (("theory", "--lambda-grid", "nan", "--mu-grid", "1", "--c", "1"), None),
+    (("simulate", "--grid", "nan", "--n", "100", "--p", "60", "--replicates", "1"), None),
+    (("simulate", "--n", "100", "--p", "60", "--replicates", "1"),
+     "[simulate]\nse-init = bogus\n"),
+    (("simulate", "--family", "contextual-sbm", "--p-bar-coeffs", "0.7,0.3",
+      "--n", "100", "--p", "60", "--replicates", "1"), None),
+    (("simulate",), "seed = 3\n"),
+])
+def test_bad_input_is_usage_error_without_output(tmp_path, capsys, args, ini):
+    if ini is not None:
+        (tmp_path / "run.ini").write_text(ini)
+        args += ("--config", str(tmp_path / "run.ini"))
+    out = tmp_path / "o"
+    assert run_cli(*args, "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(TABLES))
+def test_help_shows_every_default(capsys, command):
+    with pytest.raises(SystemExit):
+        run_cli(command, "--help")
+    text = "".join(capsys.readouterr().out.split())
+    for opt in TABLES[command]:
+        shown = "(required)" if opt.default is None else f"(default {opt.default})"
+        assert "".join(shown.split()) in text, opt.key
+
+
+@pytest.mark.parametrize("args,csv", [
+    (("theory", "--lambda-grid", "0.5:3:6", "--mu-grid", "0.1:0.9:4", "--c", "1.667"),
+     "theory.csv"),
+    (("simulate", "--n", "200", "--p", "120", "--grid", "0.5:3:4", "--replicates", "1",
+      "--n-iter", "10", "--seed", "4"), "results.csv"),
+    (("se-check", "--lambda", "1.23456789012345", "--mu", "0.98765432109876",
+      "--n", "150", "--t-max", "3", "--replicates", "1"), "se_check.csv"),
+])
+def test_echoed_config_replays_the_run(tmp_path, args, csv):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(*args, "--out-dir", str(a)) == 0
+    echoed = a / "config_used.ini"
+    keys = [line.split(" = ")[0] for line in echoed.read_text().splitlines()[1:]]
+    assert keys == [opt.key for opt in TABLES[args[0]]]
+    assert run_cli(args[0], "--config", str(echoed), "--out-dir", str(b)) == 0
+    assert (a / csv).read_bytes() == (b / csv).read_bytes()

@@ -160,6 +160,34 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="threads"):
             small_cfg(threads=threads)
 
+    @pytest.mark.parametrize("kw", [{"grid": (float("nan"),)}, {"grid": (1.0, float("inf"))},
+                                    {"fixed_value": float("nan")}])
+    def test_grid_and_fixed_value_must_be_finite(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            small_cfg(**kw)
+
+    def test_se_init_mode_checked(self):
+        with pytest.raises(ValueError, match="se_init_mode"):
+            small_cfg(se_init_mode="bogus")
+
+    @pytest.mark.parametrize("kw", [
+        {"m": 2, "r_fractions": (0.5, 0.5), "p_bar_coeffs": (0.7, 0.7)},
+        {"p_bar_coeffs": (0.7, 0.3)},
+        {"r_fractions": (0.5,)}])
+    def test_contextual_sbm_has_one_layer(self, kw):
+        with pytest.raises(ValueError):
+            small_cfg(family="contextual-sbm", **kw)
+
+    @pytest.mark.parametrize("kw", [{"r_fractions": (float("nan"), float("nan"))},
+                                    {"p_bar_coeffs": (0.7, -0.1)},
+                                    {"p_bar_coeffs": (0.7, float("nan"))},
+                                    {"p_bar_coeffs": (0.7, 20.0)}])
+    def test_layer_values_checked_before_sampling(self, kw):
+        args = {"family": "multilayer", "m": 2, "r_fractions": (0.6, 0.4),
+                "p_bar_coeffs": (0.7, 0.4), "n": 400, "p": 240, **kw}
+        with pytest.raises(ValueError):
+            small_cfg(**args)
+
 
 class TestSeConsistency:
     def test_full_revelation_is_exact(self):

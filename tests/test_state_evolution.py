@@ -14,6 +14,19 @@ def cfg(lam, mu, c, eps=0.0, **kw):
     return SeConfig(lam=lam, mu=mu, c=c, eps=eps, **kw)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["lam", "mu", "c", "eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, field, value):
+        args = {"lam": 1.0, "mu": 1.0, "c": 1.0, "eps": 0.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            SeConfig(**args)
+
+    def test_random_interval_requires_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            cfg(2.0, 1.0, 1.0, init_mode="random-interval")
+
+
 class TestScalarStep:
     def test_origin_without_revelation(self):
         assert se_scalar_step(0.0, cfg(1.0, 1.0, 1.0)) == 0.0
