@@ -119,7 +119,8 @@ def _text(value) -> str:
 @dataclass(frozen=True)
 class Opt:
     """One setting: its flag and config key, the parser of its text form,
-    its default as text (None: required), help text and allowed values."""
+    its default as text (None: required), help text and allowed values
+    (argparse checks them on flags, the library on config-file values)."""
 
     key: str
     parse: Callable[[str], Any]
