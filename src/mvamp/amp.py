@@ -18,6 +18,9 @@ denoisers' analytic derivatives; subtracting those terms keeps successive
 iterates decorrelated so that each looks like signal plus Gaussian noise
 at the level predicted by state evolution.
 
+:func:`run_amp` runs at most ``n_iter`` steps and, given a tolerance, ends
+once the root-mean-square change of q between two steps falls below it.
+
 The denoiser coefficients come from a precomputed SeTrajectory.  Two
 initializations are supported: zero iterates with eps-revelation side
 information, and the practical spectral start: sqrt(n) times the leading
@@ -194,14 +197,19 @@ def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMask
             traj: SeTrajectory, n_iter: int = 100,
             init: AmpState | None = None, x_star: np.ndarray | None = None,
             early_stop_tol: float | None = None) -> AmpRun:
-    """Run n_iter steps and return the last denoised labels plus diagnostics.
+    """Run at most n_iter steps and return the last denoised labels plus
+    diagnostics.
 
     The trajectory must provide coefficients for n_iter + 1 steps.  With
-    ``early_stop_tol`` set, the loop ends once successive denoised vectors
-    differ by less than that tolerance in root-mean-square.
+    ``early_stop_tol`` set (nonnegative), the loop ends once successive
+    denoised vectors differ by less than that tolerance in root-mean-square,
+    so n_iter becomes a cap; without it, all n_iter steps run.
+    ``n_steps`` of the result is the number of steps taken.
     """
     if n_iter < 1:
         raise ValueError(f"need at least one step, got n_iter={n_iter}")
+    if early_stop_tol is not None and not early_stop_tol >= 0.0:
+        raise ValueError(f"early_stop_tol must be nonnegative, got {early_stop_tol}")
     if len(traj) < n_iter + 1:
         raise ValueError(
             f"trajectory provides {len(traj)} steps, need {n_iter + 1}")

@@ -20,8 +20,9 @@ before the output directory is created, so a usage error leaves nothing
 behind.  The effective configuration is echoed to ``config_used.ini`` in
 the output directory, with reals in shortest round-trip form, so that
 ``--config <out>/config_used.ini`` replays the run.
-Wall-clock times are written to a separate ``timings.csv`` so that every
-value-bearing CSV is byte-identical across reruns with the same seed.
+Wall-clock times, with the iteration steps each grid point took, are
+written to a separate ``timings.csv`` so that every value-bearing CSV is
+byte-identical across reruns with the same seed.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or convergence failure.
 """
@@ -148,7 +149,9 @@ TABLES = {
         Opt("grid", parse_grid, "0.5:4.5:9", "swept values: 'a,b,c' or 'lo:hi:count'"),
         Opt("fixed", float, "0.9", "the held-fixed parameter value"),
         Opt("replicates", int, "10", "replicates per point"),
-        Opt("n-iter", int, "100", "iterations per replicate"),
+        Opt("n-iter", int, "100", "iteration cap per replicate (see stop-tol)"),
+        Opt("stop-tol", float, "1e-6", "stop a replicate once the RMS change of its "
+            "labels between steps falls below this; 0 runs all n-iter steps"),
         Opt("init", str, "spectral", "initialization", INITS),
         Opt("eps", float, "0", "revelation fraction for revelation init"),
         Opt("m", int, "1", "number of network layers"),
@@ -321,8 +324,8 @@ def cmd_simulate(s: dict[str, Any]) -> int:
     cfg = _checked(
         ExperimentConfig, family=s["family"], n=s["n"], p=s["p"], sweep_param=s["sweep"],
         grid=s["grid"], fixed_value=s["fixed"], replicates=s["replicates"],
-        n_iter=s["n-iter"], seed=s["seed"], init=s["init"], eps=s["eps"], m=s["m"],
-        r_fractions=s["r-fractions"], p_bar_coeffs=s["p-bar-coeffs"],
+        n_iter=s["n-iter"], stop_tol=s["stop-tol"], seed=s["seed"], init=s["init"],
+        eps=s["eps"], m=s["m"], r_fractions=s["r-fractions"], p_bar_coeffs=s["p-bar-coeffs"],
         se_init_mode=s["se-init"], threads=s["threads"])
     out = s["out-dir"]
     out.mkdir(parents=True, exist_ok=True)
@@ -334,8 +337,9 @@ def cmd_simulate(s: dict[str, Any]) -> int:
              a.mean_mse, a.sd_mse, a.min_mse, a.max_mse, a.mean_overlap,
              ";".join(a.errors)] for a in aggs]
     write_csv(out / "results.csv", header, rows)
-    write_csv(out / "timings.csv", ["lambda", "mu", "wall_time_s"],
-              [[a.lam, a.mu, a.wall_time_s] for a in aggs])
+    write_csv(out / "timings.csv",
+              ["lambda", "mu", "wall_time_s", "mean_amp_steps", "capped_replicates"],
+              [[a.lam, a.mu, a.wall_time_s, a.mean_steps, a.capped] for a in aggs])
 
     if s["svg"]:
         x = np.array([a.lam if cfg.sweep_param == "lambda" else a.mu for a in aggs])

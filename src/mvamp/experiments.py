@@ -3,11 +3,16 @@
 A replicate samples one instance of a model family (:func:`draw_instance`,
 also behind ``mvamp simulate --export-instance``), builds the operators,
 initializes (spectral or revelation), runs the iteration, and reports the
-matrix mean square error and the sign overlap.  Sweeps repeat that over a
-parameter grid with i.i.d. replicates per point and attach the theoretical
-limit for comparison.  Everything is deterministic in (config, seed):
+matrix mean square error, the sign overlap and the steps taken.  The
+iteration runs at most ``n_iter`` steps: it ends once the root-mean-square
+change of the labels between two steps falls below ``stop_tol`` (0 runs all
+``n_iter``).  Sweeps repeat that over a parameter grid with i.i.d.
+replicates per point and attach the theoretical limit for comparison.
+Everything is deterministic in (config, seed), the stop included:
 replicate sub-seeds are derived with :func:`mvamp.model.substream` and
 results are merged by index, so the thread count never changes a number.
+The state-evolution tracking check always runs the full ``t_max`` steps,
+because it compares every step with the prediction.
 
 Model families:
 
@@ -96,11 +101,14 @@ class ExperimentConfig:
 
     The swept parameter (``sweep_param``) runs over ``grid`` while the
     other of (lambda, mu) is held at ``fixed_value``.  ``init`` selects the
-    spectral start or zero iterates with eps-revelation.  ``r_fractions``
-    must be positive and sum to one; layer i gets strength r_i * lambda
-    and density p_bar_coeffs[i] / sqrt(n) in (0, 1).  ``contextual-sbm``
-    has one layer (m = 1); ``gaussian`` ignores m, r_fractions and
-    p_bar_coeffs.
+    spectral start or zero iterates with eps-revelation.  ``n_iter`` caps
+    the iteration, which ends earlier once the root-mean-square change of
+    the labels between two steps falls below ``stop_tol``; ``stop_tol = 0``
+    runs all ``n_iter`` steps.  ``r_fractions`` must be positive and sum to
+    one; layer i gets strength r_i * lambda and density
+    p_bar_coeffs[i] / sqrt(n) in (0, 1).  ``contextual-sbm`` has one layer
+    (m = 1); ``gaussian`` has no network layers and rejects m,
+    r_fractions and p_bar_coeffs other than their defaults.
     """
 
     family: str
@@ -111,6 +119,7 @@ class ExperimentConfig:
     fixed_value: float
     replicates: int = 10
     n_iter: int = 100
+    stop_tol: float = 1e-6
     seed: int = 0
     init: str = "spectral"
     eps: float = 0.0
@@ -133,6 +142,8 @@ class ExperimentConfig:
             raise ValueError("grid values and fixed_value must be nonnegative")
         if self.n < 2 or self.p < 1 or self.replicates < 1 or self.n_iter < 1:
             raise ValueError("n >= 2, p >= 1, replicates >= 1, n_iter >= 1 required")
+        if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0.0):
+            raise ValueError(f"stop_tol must be finite and nonnegative, got {self.stop_tol}")
         if self.threads < 1:
             raise ValueError(f"threads must be a positive integer, got {self.threads}")
         if self.init not in INITS:
@@ -144,7 +155,11 @@ class ExperimentConfig:
                              f"got {self.se_init_mode!r}")
         if self.family == "contextual-sbm" and self.m != 1:
             raise ValueError(f"contextual-sbm has one network layer, got m={self.m}")
-        if self.family != "gaussian":
+        if self.family == "gaussian":
+            if (self.m, tuple(self.r_fractions), tuple(self.p_bar_coeffs)) != (1, (1.0,), (0.7,)):
+                raise ValueError("gaussian has no network layers; leave m, r_fractions "
+                                 "and p_bar_coeffs at their defaults")
+        else:
             if self.m < 1 or len(self.r_fractions) != self.m or len(self.p_bar_coeffs) != self.m:
                 raise ValueError(f"{self.family} needs m matching r_fractions and p_bar_coeffs")
             if not all(r > 0 for r in self.r_fractions):
@@ -168,19 +183,24 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ReplicateResult:
-    """Metrics of one replicate; deterministic in (config, point, index)."""
+    """Metrics of one replicate; deterministic in (config, point, index),
+    except ``wall_time``.  ``n_steps`` is the number of iteration steps
+    taken, at most ``n_iter``."""
 
     point_index: int
     replicate_index: int
     empirical_mse: float
     empirical_overlap: float
     overlap_trajectory: np.ndarray
+    n_steps: int
     wall_time: float
 
 
 @dataclass
 class AggregateResult:
-    """Per-grid-point summary over replicates."""
+    """Per-grid-point summary over replicates.  ``mean_steps`` is the mean
+    number of iteration steps of the replicates that ran, and ``capped`` how
+    many of them reached ``n_iter``."""
 
     family: str
     n: int
@@ -196,6 +216,8 @@ class AggregateResult:
     min_mse: float = np.nan
     max_mse: float = np.nan
     mean_overlap: float = np.nan
+    mean_steps: float = np.nan
+    capped: int = 0
     wall_time_s: float = 0.0
     errors: list[str] = field(default_factory=list)
 
@@ -281,13 +303,14 @@ def run_replicate(cfg: ExperimentConfig, point_index: int, rep_index: int) -> Re
 
     x_star = inst.labels.x_star
     result = run_amp(sym_op, b_op, inst.masks, traj, n_iter=cfg.n_iter, init=state,
-                     x_star=x_star)
+                     x_star=x_star, early_stop_tol=cfg.stop_tol if cfg.stop_tol > 0 else None)
     return ReplicateResult(
         point_index=point_index,
         replicate_index=rep_index,
         empirical_mse=empirical_mse(result.x_hat, x_star),
         empirical_overlap=empirical_overlap(result.x_hat, x_star),
         overlap_trajectory=result.overlap,
+        n_steps=result.n_steps,
         wall_time=time.perf_counter() - t_start)
 
 
@@ -337,6 +360,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[AggregateResult]:
             agg.min_mse = float(mses.min())
             agg.max_mse = float(mses.max())
             agg.mean_overlap = float(np.mean([r.empirical_overlap for r in point_results]))
+            agg.mean_steps = float(np.mean([r.n_steps for r in point_results]))
+            agg.capped = sum(r.n_steps == cfg.n_iter for r in point_results)
             agg.wall_time_s = float(sum(r.wall_time for r in point_results))
         aggregates.append(agg)
     return aggregates
@@ -363,7 +388,9 @@ def se_consistency_check(lam: float, mu: float, c: float, eps: float, n: int,
 
     Uses the dense symmetric family and the revealed-spike channel
     convention, which is what the algorithm realizes (see the state
-    evolution module docstring).
+    evolution module docstring).  Every replicate runs all t_max steps
+    (``stop_tol=0``): state evolution predicts each step, and the
+    trajectories are averaged step by step.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("tracking check requires eps in (0, 1]")
@@ -372,7 +399,7 @@ def se_consistency_check(lam: float, mu: float, c: float, eps: float, n: int,
     p = int(round(n / c))
     cfg = ExperimentConfig(
         family="gaussian", n=n, p=p, sweep_param="lambda", grid=(lam,),
-        fixed_value=mu, replicates=replicates, n_iter=t_max, seed=seed,
+        fixed_value=mu, replicates=replicates, n_iter=t_max, stop_tol=0.0, seed=seed,
         init="revelation", eps=eps, threads=threads)
     traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=eps, init_mode="zero",
                            t_max=t_max + 1, revealed_spike_snr=True))

@@ -255,6 +255,14 @@ class TestRunAmp:
         assert out.n_steps < 100
         assert len(out.overlap) == out.n_steps + 1
 
+    @pytest.mark.parametrize("tol", [-1e-6, float("nan")])
+    def test_early_stop_tol_must_be_nonnegative(self, tol):
+        # a NaN tolerance would never stop: delta < nan is always False
+        n, p = 8, 5
+        _, _, _, masks, sym_op, b_op, traj = small_instance(n, p)
+        with pytest.raises(ValueError, match="early_stop_tol"):
+            run_amp(sym_op, b_op, masks, traj, n_iter=3, early_stop_tol=tol)
+
     def test_trajectory_length_guard(self):
         n, p = 8, 5
         _, _, _, masks, sym_op, b_op, traj = small_instance(n, p)

@@ -122,7 +122,9 @@ class TestSimulateCommand:
         assert header == ("family,n,p,lambda,mu,c,replicates,theory_mmse,"
                           "mean_mse,sd_mse,min_mse,max_mse,mean_overlap,errors")
         assert text.endswith("\n") and "\r" not in text
-        assert (out / "timings.csv").exists()
+        timings = (out / "timings.csv").read_text().splitlines()
+        assert timings[0] == "lambda,mu,wall_time_s,mean_amp_steps,capped_replicates"
+        assert len(timings) == 2
         assert (out / "plot.svg").read_text().startswith("<svg")
         assert (out / "labels.csv").exists()
         assert (out / "covariates.csv").exists()
@@ -196,6 +198,18 @@ class TestSimulateCommand:
         out = tmp_path / "o"
         assert run_cli(*self.ARGS, "--threads", "0", "--out-dir", str(out)) == 1
         assert not out.exists()
+
+    def test_thread_count_does_not_change_stopped_results(self, tmp_path):
+        args = ("simulate", "--n", "300", "--p", "180", "--grid", "2.0,3.0",
+                "--replicates", "2", "--n-iter", "100", "--seed", "8")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(*args, "--threads", "1", "--out-dir", str(a)) == 0
+        assert run_cli(*args, "--threads", "2", "--out-dir", str(b)) == 0
+        assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+        for out in (a, b):
+            rows = [line.split(",") for line in
+                    (out / "timings.csv").read_text().splitlines()[1:]]
+            assert all(float(row[3]) < 100 and row[4] == "0" for row in rows)
 
     def test_nonpositive_thread_config_value_is_usage_error(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
@@ -317,6 +331,10 @@ def test_unknown_subcommand_is_usage_error():
     (("simulate", "--family", "contextual-sbm", "--p-bar-coeffs", "0.7,0.3",
       "--n", "100", "--p", "60", "--replicates", "1"), None),
     (("simulate",), "seed = 3\n"),
+    (("simulate", "--family", "gaussian", "--m", "3", "--r-fractions", "0.5",
+      "--p-bar-coeffs", "9", "--n", "100", "--p", "60", "--replicates", "1"), None),
+    (("simulate", "--stop-tol", "-1", "--n", "100", "--p", "60", "--replicates", "1"), None),
+    (("simulate", "--stop-tol", "nan", "--n", "100", "--p", "60", "--replicates", "1"), None),
 ])
 def test_bad_input_is_usage_error_without_output(tmp_path, capsys, args, ini):
     if ini is not None:

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mvamp import experiments
 from mvamp.experiments import (ExperimentConfig, empirical_mse, empirical_overlap,
                                run_replicate, run_sweep, se_consistency_check)
 from mvamp.state_evolution import limit_mmse
@@ -74,6 +77,32 @@ class TestRunReplicate:
         r = run_replicate(cfg, 0, 0)
         assert r.empirical_mse > 0.9
 
+    def test_stop_tol_zero_is_the_fixed_length_run(self, monkeypatch):
+        cfg = small_cfg(n_iter=60)
+        fixed = run_replicate(replace(cfg, stop_tol=0.0), 0, 0)
+        assert fixed.n_steps == 60 and len(fixed.overlap_trajectory) == 61
+
+        run_amp = experiments.run_amp
+
+        def without_stop(*args, early_stop_tol=None, **kwargs):
+            return run_amp(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_amp", without_stop)
+        reference = run_replicate(cfg, 0, 0)
+        assert fixed.empirical_mse == reference.empirical_mse
+        assert fixed.empirical_overlap == reference.empirical_overlap
+        np.testing.assert_array_equal(fixed.overlap_trajectory,
+                                      reference.overlap_trajectory)
+
+    def test_stops_above_threshold_and_runs_to_cap_below(self):
+        # lambda + mu^2 / c is 2.99 and 0.99: the first settles within 1e-6,
+        # the second keeps wandering near zero overlap
+        above = run_replicate(small_cfg(n=600, p=360, grid=(2.5,), n_iter=100), 0, 0)
+        assert above.n_steps < 100
+        assert len(above.overlap_trajectory) == above.n_steps + 1
+        below = run_replicate(small_cfg(n=600, p=360, grid=(0.5,), n_iter=100), 0, 0)
+        assert below.n_steps == 100
+
     def test_revelation_mode(self):
         cfg = small_cfg(init="revelation", eps=0.3, n_iter=15)
         r = run_replicate(cfg, 0, 0)
@@ -105,6 +134,14 @@ class TestRunSweep:
         for x, y in zip(a1, a2):
             assert x.mean_mse == y.mean_mse
             assert x.sd_mse == y.sd_mse
+
+    def test_steps_are_summarized_per_point(self):
+        cfg = small_cfg(n=600, p=360, grid=(0.5, 2.5), replicates=2, n_iter=100)
+        below, above = run_sweep(cfg)
+        assert below.mean_steps == 100.0 and below.capped == 2
+        assert above.mean_steps == np.mean([run_replicate(cfg, 1, r).n_steps
+                                            for r in range(2)])
+        assert above.mean_steps < 100.0 and above.capped == 0
 
     def test_mu_sweep(self):
         cfg = small_cfg(sweep_param="mu", grid=(0.5, 1.5), fixed_value=2.0,
@@ -151,6 +188,17 @@ class TestConfigValidation:
                         p_bar_coeffs=(0.9, 0.8), n=400, p=240)
         assert cfg.m == 2
 
+    @pytest.mark.parametrize("tol", [-1e-6, float("nan"), float("inf")])
+    def test_stop_tol_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="stop_tol"):
+            small_cfg(stop_tol=tol)
+
+    @pytest.mark.parametrize("kw", [{"m": 3}, {"r_fractions": (0.5,)},
+                                    {"p_bar_coeffs": (9.0,)}])
+    def test_gaussian_rejects_layer_settings(self, kw):
+        with pytest.raises(ValueError, match="gaussian"):
+            small_cfg(**kw)
+
     def test_revelation_needs_eps(self):
         with pytest.raises(ValueError):
             small_cfg(init="revelation", eps=0.0)
@@ -194,6 +242,8 @@ class TestSeConsistency:
         rep = se_consistency_check(lam=1.0, mu=1.0, c=1.0, eps=1.0, n=150,
                                    t_max=4, replicates=2, seed=5)
         assert np.all(rep.abs_gap < 1e-12)
+        # the labels never change, yet every step is tracked
+        assert len(rep.mean_overlap) == len(rep.z_theory) == 4
 
     def test_no_signal_stays_at_revelation_level(self):
         rep = se_consistency_check(lam=0.0, mu=0.0, c=1.0, eps=0.1, n=2000,
