@@ -27,13 +27,13 @@ b_op = RectOperator(cov.B)
 
 a0 = solve_a0(lam, mu, c)
 print(f"spectral combination weight a0 = {a0:.5f}")
-x0_vec, u0_vec = spectral_initialize(sym_op, b_op, a0, substream(seed, 4))
+vec = spectral_initialize(sym_op, b_op, a0, substream(seed, 4))
 print(f"initial |overlap| of the spectral vector: "
-      f"{abs(x0_vec @ labels.x_star) / n:.4f}")
+      f"{abs(vec @ labels.x_star) / n:.4f}")
 
 traj = se_run(SeConfig(lam=lam, mu=mu, c=c, t_max=101))
 out = run_amp(sym_op, b_op, masks, traj, n_iter=100,
-              init=init_spectral(x0_vec, u0_vec, masks, traj, p),
+              init=init_spectral(vec, masks, traj, p),
               x_star=labels.x_star)
 
 print("\nper-iteration |overlap| (first 10 steps):")

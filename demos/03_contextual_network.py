@@ -34,10 +34,10 @@ cov = sample_covariates(labels, mu, p, substream(seed, 2))
 masks = sample_revelation(labels, cov.v_star, 0.0, substream(seed, 3))
 b_op = RectOperator(cov.B)
 
-x0_vec, u0_vec = spectral_initialize(A, b_op, solve_a0(lam, mu, c), substream(seed, 4))
+vec = spectral_initialize(A, b_op, solve_a0(lam, mu, c), substream(seed, 4))
 traj = se_run(SeConfig(lam=lam, mu=mu, c=c, t_max=101))
 out = run_amp(A, b_op, masks, traj, n_iter=100,
-              init=init_spectral(x0_vec, u0_vec, masks, traj, p),
+              init=init_spectral(vec, masks, traj, p),
               x_star=labels.x_star)
 
 print(f"\nempirical matrix mse : {empirical_mse(out.x_hat, labels.x_star):.4f}")

@@ -21,7 +21,9 @@ at the level predicted by state evolution.
 :func:`run_amp` runs at most ``n_iter`` steps and, given a tolerance, ends
 once the root-mean-square change of q between two steps falls below it.
 
-The denoiser coefficients come from a precomputed SeTrajectory.  Two
+The denoiser coefficients come from a precomputed SeTrajectory: after
+step 0 the label denoiser is tanh(sqrt(mu / c) u + sqrt(lam) x), and only
+the spike shrinkage follows the predicted overlap z_t.  Two
 initializations are supported: zero iterates with eps-revelation side
 information, and the practical spectral start: sqrt(n) times the leading
 eigenvector of S + a0 B^T B / p, found by Lanczos
@@ -38,7 +40,7 @@ import numpy as np
 from .exceptions import DivergenceError
 from .linalg import RectOperator, SymmetricOperator, compose_spectral_operator, leading_eigenpair
 from .model import RevelationMasks
-from .state_evolution import SeTrajectory
+from .state_evolution import DenoiserParams, SeTrajectory
 
 __all__ = [
     "DenoiserParams",
@@ -54,20 +56,6 @@ __all__ = [
     "solve_a0",
     "spectral_initialize",
 ]
-
-
-@dataclass(frozen=True)
-class DenoiserParams:
-    """Scalar coefficients of the step-t denoisers.
-
-    a and b multiply the covariate-orbit and network-orbit iterates inside
-    the label tanh; g_slope is the posterior-mean shrinkage factor of the
-    spike estimate.  All default to the 0/0 -> 0 convention upstream.
-    """
-
-    a: float
-    b: float
-    g_slope: float
 
 
 def denoise_f(u, x, x0, revealed, params: DenoiserParams):
@@ -126,27 +114,23 @@ class AmpState:
     m_prev: np.ndarray
 
 
-def _coeffs(traj: SeTrajectory, t: int) -> DenoiserParams:
-    a, b, g_slope = traj.denoiser_coeffs(t)
-    return DenoiserParams(a=a, b=b, g_slope=g_slope)
-
-
 def init_zero(masks: RevelationMasks, traj: SeTrajectory, p: int) -> AmpState:
     """All-zero iterates; the step-0 denoiser output is the revealed truth."""
     n = masks.x0.size
     u = np.zeros(n)
     x = np.zeros(n)
-    q, _, _ = denoise_f(u, x, masks.x0, masks.mask_x, _coeffs(traj, 0))
+    q, _, _ = denoise_f(u, x, masks.x0, masks.mask_x, traj.denoiser_coeffs(0))
     return AmpState(t=0, u=u, x=x, v=np.zeros(p), q=q,
                     q_prev=np.zeros(n), m_prev=np.zeros(p))
 
 
-def init_spectral(x0_vec: np.ndarray, u0_vec: np.ndarray, masks: RevelationMasks,
-                  traj: SeTrajectory, p: int) -> AmpState:
-    """Start both label-orbit iterates from the spectral vector."""
-    q, _, _ = denoise_f(u0_vec, x0_vec, masks.x0, masks.mask_x, _coeffs(traj, 0))
-    return AmpState(t=0, u=u0_vec.copy(), x=x0_vec.copy(), v=np.zeros(p), q=q,
-                    q_prev=np.zeros(x0_vec.size), m_prev=np.zeros(p))
+def init_spectral(vec: np.ndarray, masks: RevelationMasks, traj: SeTrajectory,
+                  p: int) -> AmpState:
+    """Start both label-orbit iterates from the spectral vector.  The state
+    holds ``vec`` itself; no step writes into an iterate."""
+    q, _, _ = denoise_f(vec, vec, masks.x0, masks.mask_x, traj.denoiser_coeffs(0))
+    return AmpState(t=0, u=vec, x=vec, v=np.zeros(p), q=q,
+                    q_prev=np.zeros(vec.size), m_prev=np.zeros(p))
 
 
 def amp_step(state: AmpState, sym_op: SymmetricOperator, b_op: RectOperator,
@@ -154,7 +138,7 @@ def amp_step(state: AmpState, sym_op: SymmetricOperator, b_op: RectOperator,
     """Advance one step: t -> t + 1 (see the module docstring for the order)."""
     t = state.t
     n, p = state.q.size, b_op.p
-    params_t = _coeffs(traj, t)
+    params_t = traj.denoiser_coeffs(t)
     q = state.q
     sech2 = np.where(masks.mask_x, 0.0, 1.0 - q * q)
     # g_t's derivative does not depend on its argument, so all three memory
@@ -168,7 +152,7 @@ def amp_step(state: AmpState, sym_op: SymmetricOperator, b_op: RectOperator,
     u_next = b_op.apply_t(m) - c_t * q
     x_next = sym_op.matvec(q) - d_t * state.q_prev
     q_next, _, _ = denoise_f(u_next, x_next, masks.x0, masks.mask_x,
-                             _coeffs(traj, t + 1))
+                             traj.denoiser_coeffs(t + 1))
     if not (np.isfinite(q_next).all() and np.isfinite(u_next).all()
             and np.isfinite(x_next).all() and np.isfinite(v).all()):
         raise DivergenceError(
@@ -196,20 +180,20 @@ class AmpRun:
 def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMasks,
             traj: SeTrajectory, n_iter: int = 100,
             init: AmpState | None = None, x_star: np.ndarray | None = None,
-            early_stop_tol: float | None = None) -> AmpRun:
+            stop_tol: float = 0.0) -> AmpRun:
     """Run at most n_iter steps and return the last denoised labels plus
     diagnostics.
 
-    The trajectory must provide coefficients for n_iter + 1 steps.  With
-    ``early_stop_tol`` set (nonnegative), the loop ends once successive
-    denoised vectors differ by less than that tolerance in root-mean-square,
-    so n_iter becomes a cap; without it, all n_iter steps run.
-    ``n_steps`` of the result is the number of steps taken.
+    The trajectory must provide coefficients for n_iter + 1 steps.  The
+    loop ends once successive denoised vectors differ by less than
+    ``stop_tol`` (nonnegative) in root-mean-square, so n_iter is a cap;
+    ``stop_tol = 0`` runs all n_iter steps.  ``n_steps`` of the result is
+    the number of steps taken.
     """
     if n_iter < 1:
         raise ValueError(f"need at least one step, got n_iter={n_iter}")
-    if early_stop_tol is not None and not early_stop_tol >= 0.0:
-        raise ValueError(f"early_stop_tol must be nonnegative, got {early_stop_tol}")
+    if not stop_tol >= 0.0:
+        raise ValueError(f"stop_tol must be nonnegative, got {stop_tol}")
     if len(traj) < n_iter + 1:
         raise ValueError(
             f"trajectory provides {len(traj)} steps, need {n_iter + 1}")
@@ -232,7 +216,7 @@ def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMask
         record(new_state.q)
         delta = float(np.linalg.norm(new_state.q - state.q) / np.sqrt(n))
         state = new_state
-        if early_stop_tol is not None and delta < early_stop_tol:
+        if delta < stop_tol:
             break
     return AmpRun(x_hat=state.q, n_steps=state.t,
                   overlap=np.array(overlaps), self_overlap=np.array(selfs),
@@ -276,14 +260,13 @@ def solve_a0(lam: float, mu: float, c: float) -> float:
 
 def spectral_initialize(sym_op: SymmetricOperator | None, b_op: RectOperator | None,
                         a0: float, rng,
-                        tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+                        tol: float = 1e-6) -> np.ndarray:
     """Leading eigenvector of the composed initializer matrix, scaled to
-    norm sqrt(n), duplicated into the two label-orbit starting vectors.
+    norm sqrt(n): the starting vector of both label orbits.
 
     Pass a0 = 0 (or no rectangular operator) when the covariates carry no
     signal, and no symmetric operator when the networks carry none.
     """
     op = compose_spectral_operator(sym_op, b_op, a0)
     _, vec = leading_eigenpair(op, tol=tol, rng=rng)
-    scaled = np.sqrt(op.n) * vec
-    return scaled.copy(), scaled.copy()
+    return np.sqrt(op.n) * vec

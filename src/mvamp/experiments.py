@@ -30,7 +30,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -293,17 +293,16 @@ def run_replicate(cfg: ExperimentConfig, point_index: int, rep_index: int) -> Re
     else:
         rng = substream(cfg.seed, point_index, rep_index, _STREAM_INIT)
         if mu == 0:
-            x0_vec, u0_vec = spectral_initialize(sym_op, None, 0.0, rng)
+            vec = spectral_initialize(sym_op, None, 0.0, rng)
         elif lam == 0:
-            x0_vec, u0_vec = spectral_initialize(None, b_op, 1.0, rng)
+            vec = spectral_initialize(None, b_op, 1.0, rng)
         else:
-            a0 = solve_a0(lam, mu, cfg.c)
-            x0_vec, u0_vec = spectral_initialize(sym_op, b_op, a0, rng)
-        state = init_spectral(x0_vec, u0_vec, inst.masks, traj, cfg.p)
+            vec = spectral_initialize(sym_op, b_op, solve_a0(lam, mu, cfg.c), rng)
+        state = init_spectral(vec, inst.masks, traj, cfg.p)
 
     x_star = inst.labels.x_star
     result = run_amp(sym_op, b_op, inst.masks, traj, n_iter=cfg.n_iter, init=state,
-                     x_star=x_star, early_stop_tol=cfg.stop_tol if cfg.stop_tol > 0 else None)
+                     x_star=x_star, stop_tol=cfg.stop_tol)
     return ReplicateResult(
         point_index=point_index,
         replicate_index=rep_index,
@@ -392,17 +391,22 @@ def se_consistency_check(lam: float, mu: float, c: float, eps: float, n: int,
     (``stop_tol=0``): state evolution predicts each step, and the
     trajectories are averaged step by step.
     """
-    if not 0.0 < eps <= 1.0:
+    if n < 2 or t_max < 1 or replicates < 1:
+        raise ValueError(f"n >= 2, t_max >= 1 and replicates >= 1 required, "
+                         f"got {n}, {t_max} and {replicates}")
+    se_cfg = SeConfig(lam=lam, mu=mu, c=c, eps=eps, init_mode="zero",
+                      t_max=t_max + 1, revealed_spike_snr=True)
+    if eps == 0.0:
         raise ValueError("tracking check requires eps in (0, 1]")
-    if not c > 0.0:
-        raise ValueError(f"c must be positive, got {c}")
-    p = int(round(n / c))
+    p = round(n / c)
+    if p < 1:
+        raise ValueError(f"n / c = {n / c} must round to at least one feature")
     cfg = ExperimentConfig(
         family="gaussian", n=n, p=p, sweep_param="lambda", grid=(lam,),
         fixed_value=mu, replicates=replicates, n_iter=t_max, stop_tol=0.0, seed=seed,
         init="revelation", eps=eps, threads=threads)
-    traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=eps, init_mode="zero",
-                           t_max=t_max + 1, revealed_spike_snr=True))
+    # The theory runs at the realized ratio n / p.
+    traj = se_run(replace(se_cfg, c=cfg.c))
 
     trajs = _map_replicates(lambda rep: run_replicate(cfg, 0, rep).overlap_trajectory,
                             range(replicates), threads)

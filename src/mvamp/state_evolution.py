@@ -24,13 +24,17 @@ eps = 0 (all the z* / MMSE / xi theory is evaluated there):
   empirically: at (lambda, mu, c, eps) = (2, 1, 1, 0.1), n = 3000, the
   mean overlap trajectory matches this variant to ~5e-3 while the default
   variant is off by up to ~0.07 at early iterations.
+
+:func:`se_run` turns the recursion into the iteration's denoiser schedule.
+The channel parameters of each step reduce to closed forms: after step 0
+the label denoiser is tanh(sqrt(mu / c) u + sqrt(lam) x), and only the
+spike shrinkage sqrt(mu / c) / (1 + mu z_t) follows the state z_t.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from .scalar_channel import scalar_mi, scalar_mmse
 __all__ = [
     "SeConfig",
     "SeTrajectory",
-    "SeParams",
+    "DenoiserParams",
     "se_scalar_step",
     "fixed_point_z",
     "limit_mmse",
@@ -48,7 +52,6 @@ __all__ = [
     "xi_limit",
     "gamma_star",
     "se_run",
-    "params_from_z",
 ]
 
 # fixed_point_z stops once |dz| < _FP_TOL and gives up after _FP_MAX_STEPS.
@@ -59,13 +62,6 @@ _FP_MAX_STEPS = 10_000
 _INIT_INTERVAL = (4.0, 10.0)
 
 
-def _ratio0(num: float, den: float) -> float:
-    """num / den with the 0/0 -> 0 convention used throughout."""
-    if den == 0.0:
-        return 0.0
-    return num / den
-
-
 @dataclass(frozen=True)
 class SeConfig:
     """Parameters of a state-evolution run.
@@ -74,12 +70,12 @@ class SeConfig:
     subjects-per-feature ratio, eps in [0, 1] the revelation fraction.
     ``init_mode`` is one of:
 
-    * ``"deterministic-z1"`` - seed the scalar recursion at overlap 1 and
-      reconstruct all channel parameters from it (library default;
+    * ``"deterministic-z1"`` - seed the scalar recursion at overlap 1, so
+      step 0 is one step of the recursion from z = 1 (library default;
       reproducible without a seed).
-    * ``"random-interval"`` - draw the four step-0 channel parameters
-      uniformly from [4, 10] (the simulation-protocol variant); requires
-      ``seed``.
+    * ``"random-interval"`` - draw the four step-0 label-channel
+      parameters uniformly from [4, 10] (the simulation-protocol variant);
+      requires ``seed``.
     * ``"zero"`` - the degenerate all-zero start; with eps > 0 the
       revelation pulls the recursion off the origin, with eps = 0 the
       trajectory stays identically zero.
@@ -114,21 +110,11 @@ class SeConfig:
             raise ValueError("init_mode 'random-interval' requires a seed")
 
 
-class SeParams(NamedTuple):
-    """Channel parameters consistent with a single scalar state z."""
-
-    alpha: float
-    tau2: float
-    mu_t: float
-    sigma2: float
-    beta: float
-    vartheta2: float
-
-
-def _covariate_weight(z: float, mu: float, eps: float, revealed_spike_snr: bool) -> float:
-    """The w(z) term: covariate-orbit overlap fraction feeding the label channel."""
+def _covariate_weight(z, mu: float, eps: float, revealed_spike_snr: bool):
+    """The w(z) term: covariate-orbit overlap fraction feeding the label
+    channel (elementwise on an array of states)."""
     theta = mu * z
-    w = (1.0 - eps) * _ratio0(theta, 1.0 + theta)
+    w = (1.0 - eps) * (theta / (1.0 + theta))
     if revealed_spike_snr:
         w += eps
     return w
@@ -229,116 +215,78 @@ def gamma_star(mu: float, c: float) -> float:
     return fixed_point_z(SeConfig(lam=0.0, mu=mu, c=c))
 
 
-def params_from_z(z: float, lam: float, mu: float, c: float, eps: float,
-                  revealed_spike_snr: bool = False) -> SeParams:
-    """Channel parameters consistent with scalar state z.
+@dataclass(frozen=True)
+class DenoiserParams:
+    """Scalar coefficients of the step-t denoisers.
 
-    The label orbit sees signal sqrt(lam) z against variance z, the
-    covariate orbit sees sqrt(mu c) z against variance c z, and the
-    returned (alpha, tau2) describe the covariate-driven label channel
-    with overlap fraction w(z).  Identities: alpha / tau2 = sqrt(mu / c),
-    mu_t^2 / sigma2 = lam z, beta^2 / vartheta2 = mu z.
+    a and b multiply the covariate-orbit and network-orbit iterates inside
+    the label tanh; g_slope is the posterior-mean shrinkage factor of the
+    spike estimate.
     """
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"scalar state must lie in [0, 1], got {z}")
-    w = _covariate_weight(z, mu, eps, revealed_spike_snr)
-    tau2 = w
-    alpha = np.sqrt(mu / c) * w
-    mu_t = np.sqrt(lam) * z
-    sigma2 = z
-    beta = np.sqrt(mu * c) * z
-    vartheta2 = c * z
-    return SeParams(alpha=float(alpha), tau2=float(tau2), mu_t=float(mu_t),
-                    sigma2=float(sigma2), beta=float(beta), vartheta2=float(vartheta2))
+
+    a: float
+    b: float
+    g_slope: float
 
 
 @dataclass
 class SeTrajectory:
-    """Aligned per-step state-evolution sequences.
+    """Per-step state-evolution schedule.
 
-    Index k of every array belongs to iteration k of the algorithm:
-    ``alpha[k]``, ``tau2[k]``, ``mu_t[k]``, ``sigma2[k]`` parameterize the
-    label denoiser applied at step k (in the recursion's own indexing these
-    are alpha_{k-1}, tau^2_{k-1}, mu_k, sigma^2_k), while ``beta[k]``,
-    ``vartheta2[k]`` parameterize the spike denoiser at step k and ``z[k]``
-    is the predicted overlap of the step-k denoised labels.
+    ``z[k]`` is the predicted overlap of the step-k denoised labels, and
+    ``a[k]``, ``b[k]``, ``g_slope[k]`` are the coefficients of the denoisers
+    applied at step k.  From step 1 on, the label coefficients are the
+    constants sqrt(mu / c) and sqrt(lam) (0 while the previous state gives
+    that orbit no signal), and only the spike shrinkage
+    sqrt(mu / c) / (1 + mu z[k]) follows the state.
     """
 
     cfg: SeConfig
-    alpha: np.ndarray
-    tau2: np.ndarray
-    mu_t: np.ndarray
-    sigma2: np.ndarray
-    beta: np.ndarray
-    vartheta2: np.ndarray
     z: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    g_slope: np.ndarray
 
-    @property
-    def gamma(self) -> np.ndarray:
-        """Label-channel snr gamma_k = mu_k^2 / sigma^2_k per step."""
-        out = np.zeros_like(self.mu_t)
-        nz = self.sigma2 != 0.0
-        out[nz] = self.mu_t[nz] ** 2 / self.sigma2[nz]
-        return out
-
-    @property
-    def theta(self) -> np.ndarray:
-        """Spike-channel snr theta_k = beta_k^2 / vartheta^2_k per step."""
-        out = np.zeros_like(self.beta)
-        nz = self.vartheta2 != 0.0
-        out[nz] = self.beta[nz] ** 2 / self.vartheta2[nz]
-        return out
-
-    def denoiser_coeffs(self, k: int) -> tuple[float, float, float]:
-        """(a, b, g_slope) for step k: the two tanh coefficients of the
-        label denoiser and the shrinkage slope of the spike denoiser."""
-        a = _ratio0(self.alpha[k], self.tau2[k])
-        b = _ratio0(self.mu_t[k], self.sigma2[k])
-        g_slope = _ratio0(self.beta[k], self.beta[k] ** 2 + self.vartheta2[k])
-        return float(a), float(b), float(g_slope)
+    def denoiser_coeffs(self, k: int) -> DenoiserParams:
+        """The denoiser coefficients of step k."""
+        return DenoiserParams(a=float(self.a[k]), b=float(self.b[k]),
+                              g_slope=float(self.g_slope[k]))
 
     def __len__(self) -> int:
         return len(self.z)
 
 
 def se_run(cfg: SeConfig) -> SeTrajectory:
-    """Run the full recursion for cfg.t_max steps and return the trajectory.
+    """Run the recursion for cfg.t_max steps after step 0 and return the
+    schedule; z stays in [0, 1] throughout.
 
-    Variance entries are nonnegative and z stays in [0, 1] throughout; the
-    internal consistency gamma_{k+1} / lam = theta_k / mu holds whenever
-    both signals are positive.
+    Step 0 follows ``cfg.init_mode``: ``deterministic-z1`` takes one step
+    of the recursion from z = 1, ``zero`` has no label signal (a = b = 0),
+    and ``random-interval`` draws the label channel's parameters.
     """
     T = cfg.t_max
-    alpha = np.zeros(T + 1)
-    tau2 = np.zeros(T + 1)
-    mu_t = np.zeros(T + 1)
-    sigma2 = np.zeros(T + 1)
-    beta = np.zeros(T + 1)
-    vartheta2 = np.zeros(T + 1)
-    z = np.zeros(T + 1)
-
+    z = np.empty(T + 1)
+    label0 = (0.0, 0.0)
     if cfg.init_mode == "deterministic-z1":
-        p0 = params_from_z(1.0, cfg.lam, cfg.mu, cfg.c, cfg.eps, cfg.revealed_spike_snr)
-        alpha[0], tau2[0], mu_t[0], sigma2[0] = p0.alpha, p0.tau2, p0.mu_t, p0.sigma2
+        z[0] = se_scalar_step(1.0, cfg)
     elif cfg.init_mode == "random-interval":
         rng = np.random.default_rng(cfg.seed)
         m0, s0, a_prev, t_prev = rng.uniform(*_INIT_INTERVAL, size=4)
-        alpha[0], tau2[0] = a_prev, t_prev ** 2
-        mu_t[0], sigma2[0] = m0, s0 ** 2
-    # "zero" mode leaves row 0 at the all-zero degenerate start.
-
-    eta0 = _ratio0(alpha[0] ** 2, tau2[0]) + _ratio0(mu_t[0] ** 2, sigma2[0])
-    z[0] = 1.0 - (1.0 - cfg.eps) * scalar_mmse(eta0)
-    beta[0] = np.sqrt(cfg.mu * cfg.c) * z[0]
-    vartheta2[0] = cfg.c * z[0]
-
+        label0 = (a_prev / t_prev ** 2, m0 / s0 ** 2)
+        z[0] = 1.0 - (1.0 - cfg.eps) * scalar_mmse(a_prev ** 2 / t_prev ** 2
+                                                   + m0 ** 2 / s0 ** 2)
+    else:
+        z[0] = 1.0 - (1.0 - cfg.eps) * scalar_mmse(0.0)
     for k in range(1, T + 1):
-        zp = z[k - 1]
-        p = params_from_z(zp, cfg.lam, cfg.mu, cfg.c, cfg.eps, cfg.revealed_spike_snr)
-        alpha[k], tau2[k], mu_t[k], sigma2[k] = p.alpha, p.tau2, p.mu_t, p.sigma2
-        z[k] = se_scalar_step(zp, cfg)
-        beta[k] = np.sqrt(cfg.mu * cfg.c) * z[k]
-        vartheta2[k] = cfg.c * z[k]
+        z[k] = se_scalar_step(z[k - 1], cfg)
 
-    return SeTrajectory(cfg=cfg, alpha=alpha, tau2=tau2, mu_t=mu_t,
-                        sigma2=sigma2, beta=beta, vartheta2=vartheta2, z=z)
+    # The label denoiser of step k follows z[k - 1]; step 0 of
+    # deterministic-z1 follows z = 1.
+    z_prev = np.concatenate(([1.0], z[:-1]))
+    w_prev = _covariate_weight(z_prev, cfg.mu, cfg.eps, cfg.revealed_spike_snr)
+    a = np.where(w_prev != 0.0, math.sqrt(cfg.mu / cfg.c), 0.0)
+    b = np.where(z_prev != 0.0, math.sqrt(cfg.lam), 0.0)
+    if cfg.init_mode != "deterministic-z1":
+        a[0], b[0] = label0
+    g_slope = np.where(z != 0.0, math.sqrt(cfg.mu / cfg.c) / (1.0 + cfg.mu * z), 0.0)
+    return SeTrajectory(cfg=cfg, z=z, a=a, b=b, g_slope=g_slope)

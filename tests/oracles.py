@@ -113,3 +113,43 @@ def trapezoid_adaptive(f, a: float, b: float, panels: int = 200,
             return nxt
         val = nxt
     return val
+
+
+def denoiser_ratios(cfg, z):
+    """Reference denoiser schedule (a, b, g_slope) for the scalar states z
+    of a state-evolution run with settings ``cfg``.
+
+    It follows the paper's construction: per step, the six channel
+    parameters (alpha, tau2) of the covariate-driven label channel,
+    (mu_t, sigma2) of the network label channel and (beta, vartheta2) of the
+    spike channel, reduced to alpha / tau2, mu_t / sigma2 and
+    beta / (beta^2 + vartheta2) with 0/0 -> 0.  The label channels of step
+    k are built from z[k - 1]; those of step 0 follow ``cfg.init_mode``.
+    """
+    lam, mu, c, eps = cfg.lam, cfg.mu, cfg.c, cfg.eps
+
+    def label_params(zk):
+        w = (1.0 - eps) * (mu * zk / (1.0 + mu * zk))
+        if cfg.revealed_spike_snr:
+            w += eps
+        return np.sqrt(mu / c) * w, w, np.sqrt(lam) * zk, zk
+
+    T = len(z) - 1
+    alpha, tau2, mu_t, sigma2 = (np.zeros(T + 1) for _ in range(4))
+    if cfg.init_mode == "deterministic-z1":
+        alpha[0], tau2[0], mu_t[0], sigma2[0] = label_params(1.0)
+    elif cfg.init_mode == "random-interval":
+        m0, s0, a_prev, t_prev = np.random.default_rng(cfg.seed).uniform(4.0, 10.0, size=4)
+        alpha[0], tau2[0], mu_t[0], sigma2[0] = a_prev, t_prev ** 2, m0, s0 ** 2
+    for k in range(1, T + 1):
+        alpha[k], tau2[k], mu_t[k], sigma2[k] = label_params(z[k - 1])
+    beta = np.sqrt(mu * c) * z
+    vartheta2 = c * z
+
+    def ratio(num, den):
+        out = np.zeros_like(num)
+        nz = den != 0.0
+        out[nz] = num[nz] / den[nz]
+        return out
+
+    return ratio(alpha, tau2), ratio(mu_t, sigma2), ratio(beta, beta ** 2 + vartheta2)

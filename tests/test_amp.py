@@ -175,10 +175,9 @@ class TestAmpStep:
         sqrt_n, sqrt_p = np.sqrt(n), np.sqrt(p)
         u, x = np.zeros(n), np.zeros(n)
         q_prev, m_prev = np.zeros(n), np.zeros(p)
-        a, b, g = traj.denoiser_coeffs(0)
-        q = np.where(mask_x, x0, np.tanh(a * u + b * x))
+        q = np.where(mask_x, x0, np.tanh(traj.a[0] * u + traj.b[0] * x))
         for t in range(2):
-            a, b, g = traj.denoiser_coeffs(t)
+            a, b, g = traj.a[t], traj.b[t], traj.g_slope[t]
             sech2 = np.where(mask_x, 0.0, 1.0 - q * q)
             p_t = (n / p) * np.sum(a * sech2) / n
             d_t = np.sum(b * sech2) / n
@@ -187,8 +186,8 @@ class TestAmpStep:
             c_t = np.sum(np.where(mask_v, 0.0, g)) / p
             u_next = (B.T @ m) / sqrt_p - c_t * q
             x_next = (T @ q) / sqrt_n - d_t * q_prev
-            a2, b2, _ = traj.denoiser_coeffs(t + 1)
-            q_next = np.where(mask_x, x0, np.tanh(a2 * u_next + b2 * x_next))
+            q_next = np.where(mask_x, x0,
+                              np.tanh(traj.a[t + 1] * u_next + traj.b[t + 1] * x_next))
             q_prev, m_prev, u, x, q = q, m, u_next, x_next, q_next
 
         np.testing.assert_array_equal(s2.q, q)
@@ -209,9 +208,8 @@ class TestAmpStep:
             b_op = RectOperator(cov.B)
             traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=0.0, t_max=4))
             a0 = solve_a0(lam, mu, n / p)
-            x0v, u0v = spectral_initialize(sym_op, b_op, a0,
-                                           substream(200 + rep, 4), tol=1e-5)
-            state = init_spectral(x0v, u0v, masks, traj, p)
+            vec = spectral_initialize(sym_op, b_op, a0, substream(200 + rep, 4), tol=1e-5)
+            state = init_spectral(vec, masks, traj, p)
             ov0 = abs(np.dot(state.q, lab.x_star)) / n
             state = amp_step(state, sym_op, b_op, masks, traj)
             ov1 = abs(np.dot(state.q, lab.x_star)) / n
@@ -251,7 +249,7 @@ class TestRunAmp:
         traj = se_run(SeConfig(lam=3.0, mu=1.0, c=n / p, eps=0.25, init_mode="zero",
                                t_max=101, revealed_spike_snr=True))
         out = run_amp(sym_op, b_op, masks, traj, n_iter=100, x_star=lab.x_star,
-                      early_stop_tol=1e-8)
+                      stop_tol=1e-8)
         assert out.n_steps < 100
         assert len(out.overlap) == out.n_steps + 1
 
@@ -260,8 +258,8 @@ class TestRunAmp:
         # a NaN tolerance would never stop: delta < nan is always False
         n, p = 8, 5
         _, _, _, masks, sym_op, b_op, traj = small_instance(n, p)
-        with pytest.raises(ValueError, match="early_stop_tol"):
-            run_amp(sym_op, b_op, masks, traj, n_iter=3, early_stop_tol=tol)
+        with pytest.raises(ValueError, match="stop_tol"):
+            run_amp(sym_op, b_op, masks, traj, n_iter=3, stop_tol=tol)
 
     def test_trajectory_length_guard(self):
         n, p = 8, 5
@@ -280,13 +278,13 @@ class TestRunAmp:
         sym_op = DenseSymmetricOperator(surr.T, denom=np.sqrt(n))
         b_op = RectOperator(cov.B)
         traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=0.0, t_max=7))
-        x0v, u0v = spectral_initialize(sym_op, b_op, solve_a0(lam, mu, n / p),
-                                       substream(23, 4), tol=1e-6)
+        vec = spectral_initialize(sym_op, b_op, solve_a0(lam, mu, n / p),
+                                  substream(23, 4), tol=1e-6)
         out_plus = run_amp(sym_op, b_op, masks, traj, n_iter=5,
-                           init=init_spectral(x0v, u0v, masks, traj, p),
+                           init=init_spectral(vec, masks, traj, p),
                            x_star=lab.x_star)
         out_minus = run_amp(sym_op, b_op, masks, traj, n_iter=5,
-                            init=init_spectral(-x0v, -u0v, masks, traj, p),
+                            init=init_spectral(-vec, masks, traj, p),
                             x_star=lab.x_star)
         np.testing.assert_array_equal(out_minus.x_hat, -out_plus.x_hat)
         assert out_minus.mse[-1] == out_plus.mse[-1]
@@ -381,11 +379,10 @@ class TestSpectralInitialize:
         lab = sample_labels(n, substream(26, 0))
         cov = sample_covariates(lab, 1.0, p, substream(26, 1))
         surr = sample_gaussian_surrogate(lab, 3.0, substream(26, 2))
-        x0v, u0v = spectral_initialize(
+        vec = spectral_initialize(
             DenseSymmetricOperator(surr.T, denom=np.sqrt(n)), RectOperator(cov.B),
             solve_a0(3.0, 1.0, n / p), substream(26, 3), tol=1e-6)
-        assert abs(np.linalg.norm(x0v) - np.sqrt(n)) < 1e-8
-        np.testing.assert_array_equal(x0v, u0v)
+        assert abs(np.linalg.norm(vec) - np.sqrt(n)) < 1e-8
 
     def test_informative_above_threshold(self):
         lam, mu, n, p = 4.0, 0.9, 1500, 900
@@ -394,11 +391,11 @@ class TestSpectralInitialize:
             lab = sample_labels(n, substream(400 + rep, 0))
             cov = sample_covariates(lab, mu, p, substream(400 + rep, 1))
             surr = sample_gaussian_surrogate(lab, lam, substream(400 + rep, 2))
-            x0v, _ = spectral_initialize(
+            vec = spectral_initialize(
                 DenseSymmetricOperator(surr.T, denom=np.sqrt(n)),
                 RectOperator(cov.B), solve_a0(lam, mu, n / p),
                 substream(400 + rep, 3), tol=1e-4)
-            overlaps.append(abs(np.dot(x0v, lab.x_star)) / n)
+            overlaps.append(abs(np.dot(vec, lab.x_star)) / n)
         assert np.mean(overlaps) > 0.2
 
     def test_uninformative_below_threshold(self):
@@ -408,9 +405,9 @@ class TestSpectralInitialize:
             lab = sample_labels(n, substream(500 + rep, 0))
             cov = sample_covariates(lab, mu, p, substream(500 + rep, 1))
             surr = sample_gaussian_surrogate(lab, lam, substream(500 + rep, 2))
-            x0v, _ = spectral_initialize(
+            vec = spectral_initialize(
                 DenseSymmetricOperator(surr.T, denom=np.sqrt(n)),
                 RectOperator(cov.B), solve_a0(lam, mu, n / p),
                 substream(500 + rep, 3), tol=1e-4)
-            overlaps.append(abs(np.dot(x0v, lab.x_star)) / n)
+            overlaps.append(abs(np.dot(vec, lab.x_star)) / n)
         assert np.mean(overlaps) < 0.1

@@ -335,6 +335,8 @@ def test_unknown_subcommand_is_usage_error():
       "--p-bar-coeffs", "9", "--n", "100", "--p", "60", "--replicates", "1"), None),
     (("simulate", "--stop-tol", "-1", "--n", "100", "--p", "60", "--replicates", "1"), None),
     (("simulate", "--stop-tol", "nan", "--n", "100", "--p", "60", "--replicates", "1"), None),
+    (("se-check", "--lambda", "nan", "--n", "100", "--replicates", "1"), None),
+    (("se-check", "--n", "1", "--replicates", "1"), None),
 ])
 def test_bad_input_is_usage_error_without_output(tmp_path, capsys, args, ini):
     if ini is not None:
@@ -345,6 +347,19 @@ def test_bad_input_is_usage_error_without_output(tmp_path, capsys, args, ini):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args,named,unnamed", [
+    (("--lambda", "nan"), "lam, mu, c and eps must be finite", "grid"),
+    (("--n", "1"), "n >= 2", "n_iter"),
+    (("--t-max", "0"), "t_max >= 1", "n_iter"),
+    (("--c", "1000", "--n", "100"), "n / c", "p >= 1"),
+])
+def test_se_check_errors_name_its_own_settings(tmp_path, capsys, args, named, unnamed):
+    assert run_cli("se-check", "--replicates", "1", *args,
+                   "--out-dir", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert named in err and unnamed not in err
 
 
 @pytest.mark.parametrize("command", list(TABLES))

@@ -84,7 +84,7 @@ class TestRunReplicate:
 
         run_amp = experiments.run_amp
 
-        def without_stop(*args, early_stop_tol=None, **kwargs):
+        def without_stop(*args, stop_tol=0.0, **kwargs):
             return run_amp(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "run_amp", without_stop)

@@ -4,10 +4,10 @@ import pytest
 from mvamp.exceptions import ConvergenceError
 from mvamp.scalar_channel import scalar_mmse
 from mvamp.state_evolution import (SeConfig, detection_possible, fixed_point_z,
-                                   gamma_star, limit_mmse, params_from_z, se_run,
-                                   se_scalar_step, xi_limit)
+                                   gamma_star, limit_mmse, se_run, se_scalar_step,
+                                   xi_limit)
 
-from oracles import bisect_fixed_point, scalar_map, trapezoid_adaptive
+from oracles import bisect_fixed_point, denoiser_ratios, scalar_map, trapezoid_adaptive
 
 
 def cfg(lam, mu, c, eps=0.0, **kw):
@@ -173,27 +173,6 @@ class TestGammaStar:
         assert gamma_star(2.0, 1.0) == fixed_point_z(cfg(0.0, 2.0, 1.0))
 
 
-class TestParamsFromZ:
-    def test_zero_state_gives_zero_params(self):
-        p = params_from_z(0.0, 2.0, 1.0, 1.0, 0.0)
-        assert all(v == 0.0 for v in p)
-
-    def test_channel_snrs(self):
-        lam, mu, c, z = 3.0, 1.5, 2.0, 0.37
-        p = params_from_z(z, lam, mu, c, 0.0)
-        assert abs(p.mu_t ** 2 / p.sigma2 - lam * z) < 1e-12
-        assert abs(p.beta ** 2 / p.vartheta2 - mu * z) < 1e-12
-
-    def test_round_trip_through_ratios(self):
-        lam, mu, c, eps = 2.0, 1.0, 1.0, 0.1
-        for z in (0.2, 0.5, 0.9):
-            p = params_from_z(z, lam, mu, c, eps)
-            # the two snr ratios reproduce the state they came from
-            assert abs(p.sigma2 - z) < 1e-12
-            assert abs((p.beta ** 2 / p.vartheta2) / mu - z) < 1e-12
-            assert abs(p.alpha / p.tau2 - np.sqrt(mu / c)) < 1e-12
-
-
 class TestSeRun:
     def test_deterministic_seed_monotone_to_fixed_point(self):
         c = cfg(2.0, 1.0, 1.0, t_max=200)
@@ -208,33 +187,37 @@ class TestSeRun:
     def test_zero_start_stays_zero_without_revelation(self):
         traj = se_run(cfg(2.0, 1.0, 1.0, init_mode="zero", t_max=50))
         assert np.all(traj.z == 0.0)
-        assert np.all(traj.mu_t == 0.0)
+        assert np.all(traj.b == 0.0)
 
     def test_zero_start_with_revelation_leaves_origin(self):
         traj = se_run(cfg(2.0, 1.0, 1.0, eps=0.1, init_mode="zero", t_max=50))
         assert abs(traj.z[0] - 0.1) < 1e-14
         assert traj.z[5] > 0.5
 
-    def test_internal_consistency_of_ratios(self):
-        c = cfg(2.0, 1.0, 1.0, eps=0.05, t_max=30)
-        traj = se_run(c)
-        gamma, theta = traj.gamma, traj.theta
-        # gamma_{k+1} / lam and theta_k / mu both equal z_k
-        np.testing.assert_allclose(gamma[1:] / c.lam, theta[:-1] / c.mu, atol=1e-10)
-        np.testing.assert_allclose(theta / c.mu, traj.z, atol=1e-10)
+    @pytest.mark.parametrize("lam,mu,c", [(2.0, 1.0, 1.0), (0.0, 1.5, 5 / 3),
+                                          (3.0, 0.0, 0.6), (0.0, 0.0, 1.0)])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("init_mode", ["deterministic-z1", "zero", "random-interval"])
+    @pytest.mark.parametrize("revealed", [False, True])
+    def test_denoiser_schedule_matches_channel_parameters(self, lam, mu, c, eps,
+                                                           init_mode, revealed):
+        traj = se_run(cfg(lam, mu, c, eps=eps, init_mode=init_mode, seed=7, t_max=30,
+                          revealed_spike_snr=revealed))
+        for got, ref in zip((traj.a, traj.b, traj.g_slope), denoiser_ratios(traj.cfg, traj.z)):
+            np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+            assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
 
-    def test_variances_nonnegative_and_z_in_unit_interval(self):
+    def test_z_in_unit_interval(self):
         traj = se_run(cfg(3.0, 0.5, 2.0, eps=0.2, t_max=40,
                           init_mode="random-interval", seed=5))
-        for arr in (traj.tau2, traj.sigma2, traj.vartheta2):
-            assert np.all(arr >= 0.0)
         assert np.all((traj.z >= 0.0) & (traj.z <= 1.0))
 
     def test_random_interval_reproducible(self):
         c = cfg(2.0, 1.0, 1.0, init_mode="random-interval", seed=11, t_max=10)
         a, b = se_run(c), se_run(c)
         np.testing.assert_array_equal(a.z, b.z)
-        np.testing.assert_array_equal(a.alpha, b.alpha)
+        np.testing.assert_array_equal(a.a, b.a)
+        np.testing.assert_array_equal(a.b, b.b)
 
     def test_revealed_spike_channel_is_stronger(self):
         plain = se_run(cfg(2.0, 1.0, 1.0, eps=0.1, init_mode="zero", t_max=10))
