@@ -40,7 +40,7 @@ import numpy as np
 
 from .exceptions import MvampError
 from .experiments import (FAMILIES, INITS, SE_INIT_MODES, SWEEP_PARAMS, ExperimentConfig,
-                          draw_instance, run_sweep, se_consistency_check)
+                          draw_instance, run_se_check, run_sweep, se_check_config)
 from .model import write_covariates_csv, write_edge_list, write_labels_csv
 from .state_evolution import SeConfig, detection_possible, fixed_point_z, limit_mmse, xi_limit
 
@@ -359,12 +359,14 @@ def cmd_simulate(s: dict[str, Any]) -> int:
 
 
 def cmd_se_check(s: dict[str, Any]) -> int:
-    report = _checked(
-        se_consistency_check, lam=s["lambda"], mu=s["mu"], c=s["c"], eps=s["eps"],
+    cfg = _checked(
+        se_check_config, lam=s["lambda"], mu=s["mu"], c=s["c"], eps=s["eps"],
         n=s["n"], t_max=s["t-max"], replicates=s["replicates"], seed=s["seed"],
         threads=s["threads"])
     out = s["out-dir"]
     out.mkdir(parents=True, exist_ok=True)
+
+    report = run_se_check(cfg)
     rows = [[int(t), zt, ov, gap] for t, zt, ov, gap in
             zip(report.t, report.z_theory, report.mean_overlap, report.abs_gap)]
     write_csv(out / "se_check.csv",
@@ -414,7 +416,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MvampError as exc:
+    except (MvampError, ValueError) as exc:
+        # Arguments were checked before the run (as usage errors), so a
+        # ValueError that gets here was raised by the run itself.
         print(f"failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

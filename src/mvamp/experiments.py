@@ -30,7 +30,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,8 @@ __all__ = [
     "draw_instance",
     "run_replicate",
     "run_sweep",
+    "se_check_config",
+    "run_se_check",
     "se_consistency_check",
 ]
 
@@ -380,6 +382,46 @@ class SeCheckReport:
         return np.abs(self.mean_overlap - self.z_theory)
 
 
+def se_check_config(lam: float, mu: float, c: float, eps: float, n: int,
+                    t_max: int, replicates: int, seed: int = 0,
+                    threads: int = 1) -> ExperimentConfig:
+    """Check the tracking check's arguments and return the configuration its
+    replicates run under: the dense symmetric family, zero iterates with
+    eps-revelation, ``p = round(n / c)`` and all ``t_max`` steps
+    (``stop_tol=0``).  Raises ValueError, naming these arguments, before any
+    replicate runs."""
+    if n < 2 or t_max < 1 or replicates < 1:
+        raise ValueError(f"n >= 2, t_max >= 1 and replicates >= 1 required, "
+                         f"got {n}, {t_max} and {replicates}")
+    # Built for its checks, which name lam, mu, c and eps.
+    SeConfig(lam=lam, mu=mu, c=c, eps=eps, init_mode="zero", t_max=t_max + 1,
+             revealed_spike_snr=True)
+    if eps == 0.0:
+        raise ValueError("tracking check requires eps in (0, 1]")
+    p = round(n / c)
+    if p < 1:
+        raise ValueError(f"n / c = {n / c} must round to at least one feature")
+    return ExperimentConfig(
+        family="gaussian", n=n, p=p, sweep_param="lambda", grid=(lam,),
+        fixed_value=mu, replicates=replicates, n_iter=t_max, stop_tol=0.0, seed=seed,
+        init="revelation", eps=eps, threads=threads)
+
+
+def run_se_check(cfg: ExperimentConfig) -> SeCheckReport:
+    """Run the replicates of a :func:`se_check_config` configuration and
+    average their overlap trajectories step by step."""
+    lam, mu = cfg.point(cfg.grid[0])
+    # The theory runs at the realized ratio n / p.
+    traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=cfg.eps, init_mode="zero",
+                           t_max=cfg.n_iter + 1, revealed_spike_snr=True))
+    trajs = _map_replicates(lambda rep: run_replicate(cfg, 0, rep).overlap_trajectory,
+                            range(cfg.replicates), cfg.threads)
+    t_max = cfg.n_iter
+    mean_overlap = np.mean(np.stack(trajs), axis=0)[1: t_max + 1]
+    return SeCheckReport(t=np.arange(1, t_max + 1), z_theory=traj.z[1: t_max + 1],
+                         mean_overlap=mean_overlap)
+
+
 def se_consistency_check(lam: float, mu: float, c: float, eps: float, n: int,
                          t_max: int, replicates: int, seed: int = 0,
                          threads: int = 1) -> SeCheckReport:
@@ -389,27 +431,8 @@ def se_consistency_check(lam: float, mu: float, c: float, eps: float, n: int,
     convention, which is what the algorithm realizes (see the state
     evolution module docstring).  Every replicate runs all t_max steps
     (``stop_tol=0``): state evolution predicts each step, and the
-    trajectories are averaged step by step.
+    trajectories are averaged step by step.  The same as
+    ``run_se_check(se_check_config(...))``.
     """
-    if n < 2 or t_max < 1 or replicates < 1:
-        raise ValueError(f"n >= 2, t_max >= 1 and replicates >= 1 required, "
-                         f"got {n}, {t_max} and {replicates}")
-    se_cfg = SeConfig(lam=lam, mu=mu, c=c, eps=eps, init_mode="zero",
-                      t_max=t_max + 1, revealed_spike_snr=True)
-    if eps == 0.0:
-        raise ValueError("tracking check requires eps in (0, 1]")
-    p = round(n / c)
-    if p < 1:
-        raise ValueError(f"n / c = {n / c} must round to at least one feature")
-    cfg = ExperimentConfig(
-        family="gaussian", n=n, p=p, sweep_param="lambda", grid=(lam,),
-        fixed_value=mu, replicates=replicates, n_iter=t_max, stop_tol=0.0, seed=seed,
-        init="revelation", eps=eps, threads=threads)
-    # The theory runs at the realized ratio n / p.
-    traj = se_run(replace(se_cfg, c=cfg.c))
-
-    trajs = _map_replicates(lambda rep: run_replicate(cfg, 0, rep).overlap_trajectory,
-                            range(replicates), threads)
-    mean_overlap = np.mean(np.stack(trajs), axis=0)[1: t_max + 1]
-    return SeCheckReport(t=np.arange(1, t_max + 1), z_theory=traj.z[1: t_max + 1],
-                         mean_overlap=mean_overlap)
+    return run_se_check(se_check_config(lam=lam, mu=mu, c=c, eps=eps, n=n, t_max=t_max,
+                                        replicates=replicates, seed=seed, threads=threads))

@@ -5,6 +5,9 @@ a matvec, never as a materialized product: the dense symmetric observation
 scaled by 1/sqrt(n), the centered sparse adjacency (sparse matvec plus a
 rank-one correction), weighted sums of layers, the rectangular covariate
 map B / sqrt(p), and the composition used by the spectral initializer.
+A dense product runs in its matrix's dtype (float32 for the sampled
+covariates and surrogate, see :mod:`mvamp.model`) and returns float64, so
+the vectors the estimator iterates stay float64.
 
 The spectral start needs the algebraically largest eigenpair of the
 composed operator, which may have a negative eigenvalue of larger
@@ -39,6 +42,18 @@ __all__ = [
 ]
 
 
+def _product(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """matrix @ v computed in the matrix's floating dtype, returned float64.
+
+    The vector is cast to the matrix's dtype rather than the matrix to the
+    vector's, so a float32 matrix (the stored covariates and surrogate) is
+    read as it is stored and never promoted to a float64 copy; for a float64
+    matrix this is plain ``matrix @ v``.
+    """
+    prod = matrix @ v.astype(np.result_type(matrix.dtype, np.float32), copy=False)
+    return prod.astype(np.float64, copy=False)
+
+
 class SymmetricOperator:
     """Base for symmetric n x n linear maps; subclasses define matvec."""
 
@@ -52,7 +67,8 @@ class SymmetricOperator:
 
 
 class DenseSymmetricOperator(SymmetricOperator):
-    """v -> (M v) / denom for a dense symmetric M."""
+    """v -> (M v) / denom for a dense symmetric M; the product runs in M's
+    dtype and returns float64."""
 
     def __init__(self, matrix: np.ndarray, denom: float = 1.0):
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -63,8 +79,8 @@ class DenseSymmetricOperator(SymmetricOperator):
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self.denom == 1.0:
-            return self.matrix @ v
-        return (self.matrix @ v) / self.denom
+            return _product(self.matrix, v)
+        return _product(self.matrix, v) / self.denom
 
 
 class SparseCenteredOperator(SymmetricOperator):
@@ -109,7 +125,8 @@ class WeightedSumOperator(SymmetricOperator):
 
 class RectOperator:
     """The rectangular covariate map: apply is v -> B v / sqrt(p) (n -> p)
-    and apply_t is w -> B^T w / sqrt(p) (p -> n)."""
+    and apply_t is w -> B^T w / sqrt(p) (p -> n).  Both products run in B's
+    dtype and return float64."""
 
     def __init__(self, B: np.ndarray):
         if B.ndim != 2:
@@ -121,12 +138,12 @@ class RectOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         if v.shape[-1] != self.n:
             raise ValueError(f"expected a length-{self.n} vector, got {v.shape}")
-        return (self.B @ v) / self.sqrt_p
+        return _product(self.B, v) / self.sqrt_p
 
     def apply_t(self, w: np.ndarray) -> np.ndarray:
         if w.shape[-1] != self.p:
             raise ValueError(f"expected a length-{self.p} vector, got {w.shape}")
-        return (self.B.T @ w) / self.sqrt_p
+        return _product(self.B.T, w) / self.sqrt_p
 
 
 class ComposedSpectralOperator(SymmetricOperator):

@@ -17,10 +17,13 @@ adjacency operators, under which the planted signal has mean
 sqrt(lambda / n) x x^T exactly like the Gaussian surrogate scaled by
 1 / sqrt(n).
 
-Memory: a network layer takes O(n + edges), never O(n^2).  The dense
-surrogate holds at most two n x n arrays while it is built, and the
-covariate matrix none beyond itself: spikes are added a block of rows at
-a time.
+Memory: a network layer takes O(n + edges), never O(n^2).  The covariate
+matrix and the dense surrogate are stored float32, so every product with
+them reads 4 bytes per entry; each is formed in float64 a block of rows at
+a time (noise plus spike) and rounded once into storage.  Sampling the
+covariates takes two float64 row blocks beyond the stored matrix, and
+sampling the surrogate also holds its float64 n x n noise draw (12 n^2
+bytes in all).
 """
 
 from __future__ import annotations
@@ -237,7 +240,8 @@ def sample_sbm_layer(x_star: CommunityLabels, params: LayerParams, rng) -> SbmLa
 
 @dataclass(frozen=True)
 class CovariateModel:
-    """Spiked covariate matrix B = sqrt(mu/n) v* x*^T + R, R i.i.d. N(0,1)."""
+    """Spiked covariate matrix B = sqrt(mu/n) v* x*^T + R, R i.i.d. N(0,1),
+    stored float32."""
 
     mu: float
     v_star: np.ndarray
@@ -257,25 +261,34 @@ class CovariateModel:
         return self.n / self.p
 
     def residual_noise(self, x_star: CommunityLabels) -> np.ndarray:
-        """Reconstruct the noise draw R = B - sqrt(mu/n) v* x*^T."""
+        """Reconstruct the noise draw R = B - sqrt(mu/n) v* x*^T (to float32
+        rounding of B)."""
         return self.B - np.sqrt(self.mu / self.n) * np.outer(self.v_star, x_star.x_star)
 
 
-# Rows of the covariate matrix or the Gaussian surrogate that receive the
-# spike per block; a block's temporary is _SPIKE_ROWS x n.
+# Rows of the covariate matrix or the Gaussian surrogate formed per block;
+# a block's float64 temporaries are _SPIKE_ROWS x n.
 _SPIKE_ROWS = 256
 
 
-def _add_spike(A: np.ndarray, scaled: np.ndarray, x: np.ndarray) -> None:
-    """A += outer(scaled, x) a block of rows at a time, with no temporary
-    the size of A.  x is +-1, so every entry equals the full outer-product
-    formula's bit for bit."""
-    for i in range(0, A.shape[0], _SPIKE_ROWS):
-        A[i:i + _SPIKE_ROWS] += np.multiply.outer(scaled[i:i + _SPIKE_ROWS], x)
+def _spiked_float32(noise_rows, scaled: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """float32 array whose rows i:j are noise_rows(i, j) + outer(scaled[i:j], x),
+    summed in float64 and rounded once, with no float64 temporary the size
+    of the result.  x is +-1, so every entry equals the full outer-product
+    formula's, cast to float32, bit for bit."""
+    A = np.empty((scaled.size, x.size), dtype=np.float32)
+    for i in range(0, scaled.size, _SPIKE_ROWS):
+        j = min(i + _SPIKE_ROWS, scaled.size)
+        np.add(noise_rows(i, j), np.multiply.outer(scaled[i:j], x), out=A[i:j])
+    return A
 
 
 def sample_covariates(x_star: CommunityLabels, mu: float, p: int, rng) -> CovariateModel:
-    """Sample the spike v* ~ N(0, I_p) and the p x n covariate matrix."""
+    """Sample the spike v* ~ N(0, I_p) and the p x n covariate matrix.
+
+    The noise is drawn a block of rows at a time, which consumes the random
+    stream exactly as one p x n draw does.
+    """
     if mu < 0.0:
         raise ValueError(f"spike strength must be nonnegative, got {mu}")
     if p < 1:
@@ -283,14 +296,14 @@ def sample_covariates(x_star: CommunityLabels, mu: float, p: int, rng) -> Covari
     rng = _as_rng(rng)
     n = x_star.n
     v_star = rng.standard_normal(p)
-    B = rng.standard_normal((p, n))
-    _add_spike(B, np.sqrt(mu / n) * v_star, x_star.x_star)
+    B = _spiked_float32(lambda i, j: rng.standard_normal((j - i, n)),
+                        np.sqrt(mu / n) * v_star, x_star.x_star)
     return CovariateModel(mu=float(mu), v_star=v_star, B=B)
 
 
 @dataclass(frozen=True)
 class GaussianSurrogate:
-    """Dense symmetric observation sqrt(lam/n) x* x*^T + Z.
+    """Dense symmetric observation sqrt(lam/n) x* x*^T + Z, stored float32.
 
     Z has independent N(0, 1) entries off the diagonal and N(0, 2) on it.
     """
@@ -309,11 +322,13 @@ def sample_gaussian_surrogate(x_star: CommunityLabels, lam: float, rng) -> Gauss
     rng = _as_rng(rng)
     n = x_star.n
     M = rng.standard_normal((n, n))
-    # At most two n x n arrays are alive at once: M and T until M is freed.
-    T = M + M.T
-    del M
-    T /= np.sqrt(2.0)
-    _add_spike(T, np.sqrt(lam / n) * x_star.x_star, x_star.x_star)
+
+    def noise_rows(i, j):
+        rows = M[i:j] + M[:, i:j].T
+        rows /= np.sqrt(2.0)
+        return rows
+
+    T = _spiked_float32(noise_rows, np.sqrt(lam / n) * x_star.x_star, x_star.x_star)
     return GaussianSurrogate(T=T, lam=float(lam))
 
 
@@ -394,7 +409,11 @@ def write_labels_csv(x_star: CommunityLabels, path) -> None:
 
 
 def write_covariates_csv(model: CovariateModel, path) -> None:
-    """Write B row by row (one covariate per line, subjects as columns)."""
+    """Write B row by row (one covariate per line, subjects as columns).
+
+    The 12 significant digits represent every stored float32 value exactly:
+    reading a value back and casting it to float32 returns the stored one.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(f"subject_{j}" for j in range(model.n)) + "\n")
         for row in model.B:

@@ -163,7 +163,9 @@ class TestAmpStep:
 
     def test_straight_line_transcription_oracle(self):
         """Two steps must agree bit for bit with a straight-line rewrite of
-        the update equations on dense arrays, with no operator layer."""
+        the update equations on dense arrays, with no operator layer.  The
+        stored matrices are float32: each product casts its vector to
+        float32 and its result back to float64."""
         n, p = 8, 5
         lab, surr, cov, masks, sym_op, b_op, traj = small_instance(n, p)
         state = init_zero(masks, traj, p)
@@ -171,6 +173,7 @@ class TestAmpStep:
         s2 = amp_step(s1, sym_op, b_op, masks, traj)
 
         T, B = surr.T, cov.B
+        f32, f64 = np.float32, np.float64
         x0, mask_x, v0, mask_v = masks.x0, masks.mask_x, masks.v0, masks.mask_v
         sqrt_n, sqrt_p = np.sqrt(n), np.sqrt(p)
         u, x = np.zeros(n), np.zeros(n)
@@ -181,11 +184,11 @@ class TestAmpStep:
             sech2 = np.where(mask_x, 0.0, 1.0 - q * q)
             p_t = (n / p) * np.sum(a * sech2) / n
             d_t = np.sum(b * sech2) / n
-            v = (B @ q) / sqrt_p - p_t * m_prev
+            v = (B @ q.astype(f32)).astype(f64) / sqrt_p - p_t * m_prev
             m = np.where(mask_v, v0, g * v)
             c_t = np.sum(np.where(mask_v, 0.0, g)) / p
-            u_next = (B.T @ m) / sqrt_p - c_t * q
-            x_next = (T @ q) / sqrt_n - d_t * q_prev
+            u_next = (B.T @ m.astype(f32)).astype(f64) / sqrt_p - c_t * q
+            x_next = (T @ q.astype(f32)).astype(f64) / sqrt_n - d_t * q_prev
             q_next = np.where(mask_x, x0,
                               np.tanh(traj.a[t + 1] * u_next + traj.b[t + 1] * x_next))
             q_prev, m_prev, u, x, q = q, m, u_next, x_next, q_next
@@ -244,8 +247,12 @@ class TestRunAmp:
         assert out.mse[-1] == 0.0
 
     def test_early_stop(self):
+        # float64 copies of the stored float32 matrices: with float32 products
+        # the RMS step change settles near 1e-7 and never reaches 1e-8
         n, p = 60, 40
-        lab, _, _, masks, sym_op, b_op, traj = small_instance(n, p, lam=3.0, seed=22)
+        lab, surr, cov, masks, _, _, traj = small_instance(n, p, lam=3.0, seed=22)
+        sym_op = DenseSymmetricOperator(surr.T.astype(np.float64), denom=np.sqrt(n))
+        b_op = RectOperator(cov.B.astype(np.float64))
         traj = se_run(SeConfig(lam=3.0, mu=1.0, c=n / p, eps=0.25, init_mode="zero",
                                t_max=101, revealed_spike_snr=True))
         out = run_amp(sym_op, b_op, masks, traj, n_iter=100, x_star=lab.x_star,
@@ -305,9 +312,12 @@ class TestRunAmp:
             return run_amp(sym, RectOperator(B), mm, traj, n_iter=3,
                            init=init_zero(mm, traj, p)).x_hat
 
-        base = final_q(surr.T, cov.B, masks.x0, masks.mask_x)
+        # float64 copies: a float32 product summed in another order differs
+        # by float32 round-off, far above the 1e-10 this test resolves
+        T, B = surr.T.astype(np.float64), cov.B.astype(np.float64)
+        base = final_q(T, B, masks.x0, masks.mask_x)
         perm = np.random.default_rng(25).permutation(n)
-        permuted = final_q(surr.T[np.ix_(perm, perm)], cov.B[:, perm],
+        permuted = final_q(T[np.ix_(perm, perm)], B[:, perm],
                            masks.x0[perm], masks.mask_x[perm])
         np.testing.assert_allclose(permuted, base[perm], atol=1e-10)
 

@@ -242,6 +242,9 @@ class TestSimulateCommand:
         assert not (out / "layer_2_edges.txt").exists()
         for name in names:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+        # 12 significant digits hold the stored float32 covariates exactly
+        read_back = np.loadtxt(out / "covariates.csv", delimiter=",", skiprows=1)
+        assert read_back.astype(np.float32).tobytes() == inst.covariates.B.tobytes()
 
     def test_svg_is_well_formed(self, tmp_path):
         import xml.etree.ElementTree as ET
@@ -388,3 +391,33 @@ def test_echoed_config_replays_the_run(tmp_path, args, csv):
     assert keys == [opt.key for opt in TABLES[args[0]]]
     assert run_cli(args[0], "--config", str(echoed), "--out-dir", str(b)) == 0
     assert (a / csv).read_bytes() == (b / csv).read_bytes()
+
+
+class TestSeCheckRun:
+    """se-check checks its arguments, creates the output directory, and only
+    then runs the replicates."""
+
+    ARGS = ("se-check", "--lambda", "1", "--mu", "1", "--c", "1", "--eps", "0.2",
+            "--n", "100", "--t-max", "2", "--replicates", "2")
+
+    def test_value_error_during_the_run_is_a_failure(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg, point_index, rep_index):
+            raise ValueError("broken replicate")
+
+        monkeypatch.setattr("mvamp.experiments.run_replicate", broken)
+        assert run_cli(*self.ARGS, "--out-dir", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("failure: ValueError: broken replicate")
+
+    def test_output_directory_exists_before_the_first_replicate(self, tmp_path, monkeypatch):
+        import mvamp.experiments as experiments
+
+        out, seen = tmp_path / "o", []
+        real = experiments.run_replicate
+
+        def watched(cfg, point_index, rep_index):
+            seen.append(out.is_dir())
+            return real(cfg, point_index, rep_index)
+
+        monkeypatch.setattr(experiments, "run_replicate", watched)
+        assert run_cli(*self.ARGS, "--out-dir", str(out)) == 0
+        assert seen == [True, True]

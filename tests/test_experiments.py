@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mvamp import experiments
+from mvamp import amp, experiments
 from mvamp.experiments import (ExperimentConfig, empirical_mse, empirical_overlap,
                                run_replicate, run_sweep, se_consistency_check)
 from mvamp.state_evolution import limit_mmse
@@ -102,6 +102,29 @@ class TestRunReplicate:
         assert len(above.overlap_trajectory) == above.n_steps + 1
         below = run_replicate(small_cfg(n=600, p=360, grid=(0.5,), n_iter=100), 0, 0)
         assert below.n_steps == 100
+
+    @pytest.mark.parametrize("sizes", [
+        dict(family="gaussian", n=1500, p=900, grid=(2.5,)),
+        dict(family="multilayer", n=2000, p=3000, grid=(2.0,), m=3,
+             r_fractions=(0.6, 0.2, 0.2), p_bar_coeffs=(0.7, 0.4, 0.3)),
+    ], ids=["gaussian", "multilayer"])
+    def test_step_change_settles_at_the_float32_floor(self, monkeypatch, sizes):
+        # With float32 products the RMS change of q between steps settles
+        # near 1e-7 (below 1e-11 with float64 products): the default
+        # stop_tol of 1e-6 lies above that floor.
+        deltas = []
+        step = amp.amp_step
+
+        def recorded(state, *args):
+            new = step(state, *args)
+            deltas.append(np.linalg.norm(new.q - state.q) / np.sqrt(new.q.size))
+            return new
+
+        monkeypatch.setattr(amp, "amp_step", recorded)
+        cfg = small_cfg(replicates=1, n_iter=100, stop_tol=0.0, **sizes)
+        assert run_replicate(cfg, 0, 0).n_steps == 100
+        assert max(deltas[-10:]) < 3e-7
+        assert run_replicate(replace(cfg, stop_tol=1e-6), 0, 0).n_steps < 100
 
     def test_revelation_mode(self):
         cfg = small_cfg(init="revelation", eps=0.3, n_iter=15)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,11 +121,13 @@ class TestLeadingEigenpair:
         labels = sample_labels(n, substream(40, 0))
         cov = sample_covariates(labels, mu, p, substream(40, 1))
         surr = sample_gaussian_surrogate(labels, lam, substream(40, 2))
+        # float64 copies: float32 products cannot resolve the 1e-8 compared here
+        T, B = surr.T.astype(np.float64), cov.B.astype(np.float64)
         a0 = solve_a0(lam, mu, n / p)
         op = compose_spectral_operator(
-            DenseSymmetricOperator(surr.T, denom=np.sqrt(n)), RectOperator(cov.B), a0)
+            DenseSymmetricOperator(T, denom=np.sqrt(n)), RectOperator(B), a0)
         theta, v = leading_eigenpair(op, tol=1e-10, rng=41)
-        w, vecs = np.linalg.eigh(surr.T / np.sqrt(n) + a0 * (cov.B.T @ cov.B) / p)
+        w, vecs = np.linalg.eigh(T / np.sqrt(n) + a0 * (B.T @ B) / p)
         assert abs(theta - w[-1]) < 1e-8
         assert abs(v @ vecs[:, -1]) >= 1.0 - 1e-6
 
@@ -191,6 +195,47 @@ class TestComposeSpectralOperator:
         b_op = RectOperator(np.zeros((3, 7)))
         with pytest.raises(ValueError):
             ComposedSpectralOperator(t_op, b_op, 1.0)
+
+
+class TestDenseProducts:
+    """Dense products run in the matrix's dtype and return float64."""
+
+    def operands(self):
+        rng = np.random.default_rng(60)
+        p, n = 600, 400
+        return (rng.standard_normal((p, n)), random_symmetric(n, 61),
+                rng.standard_normal(n), rng.standard_normal(p))
+
+    def products(self, B, T):
+        """(matrix, product) pairs, applied to (v, w, v)."""
+        n = T.shape[0]
+        b_op, t_op = RectOperator(B), DenseSymmetricOperator(T, denom=np.sqrt(n))
+        return [(B, b_op.apply), (B, b_op.apply_t), (T, t_op.matvec)]
+
+    def test_float64_storage_is_the_plain_product(self):
+        B, T, v, w = self.operands()
+        p, n = B.shape
+        plain = [(B @ v) / np.sqrt(p), (B.T @ w) / np.sqrt(p), (T @ v) / np.sqrt(n)]
+        for (_, fn), x, ref in zip(self.products(B, T), (v, w, v), plain):
+            assert fn(x).tobytes() == ref.tobytes(), fn.__name__
+
+    def test_float32_storage_is_read_as_stored(self):
+        B, T, v, w = self.operands()
+        B32, T32 = B.astype(np.float32), T.astype(np.float32)
+        exact = self.products(B32.astype(np.float64), T32.astype(np.float64))
+        for (matrix, fn), (_, ref), x in zip(self.products(B32, T32), exact, (v, w, v)):
+            tracemalloc.start()
+            try:
+                out = fn(x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # a float64 copy of the matrix would take twice its bytes
+            assert peak < matrix.nbytes / 8, fn.__name__
+            assert out.dtype == np.float64
+            # float32 round-off of the vector and of the sums, far below 1e-5
+            expected = ref(x)
+            assert np.linalg.norm(out - expected) <= 1e-5 * np.linalg.norm(expected)
 
 
 class TestSparseCenteredOperator:

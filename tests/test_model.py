@@ -239,7 +239,8 @@ class TestCovariates:
         np.testing.assert_array_equal(a.B, b.B)
 
     def test_matches_outer_product_formula(self):
-        # the spike is added in row blocks; p = 600 spans a partial last block
+        # noise and spike are formed in row blocks and stored float32; p = 600
+        # spans a partial last block
         n, p = 37, 600
         lab = sample_labels(n, substream(9, 4))
         for mu in (0.0, 0.5, 0.9, 3.0):
@@ -248,7 +249,22 @@ class TestCovariates:
             v_star = rng.standard_normal(p)
             B = rng.standard_normal((p, n))
             B += np.sqrt(mu / n) * np.outer(v_star, lab.x_star)
-            assert cov.B.tobytes() == B.tobytes()
+            assert cov.B.dtype == np.float32
+            assert cov.B.tobytes() == B.astype(np.float32).tobytes()
+
+    def test_peak_memory_is_the_stored_matrix_plus_row_blocks(self):
+        # float32 storage plus two float64 row blocks, the noise and its
+        # spike; a float64 matrix or copy would add 8 p n bytes
+        p, n = 3000, 2000
+        lab = sample_labels(n, substream(9, 6))
+        tracemalloc.start()
+        try:
+            cov = sample_covariates(lab, 0.9, p, substream(9, 7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cov.B.nbytes == 4 * p * n
+        assert peak <= 4 * p * n + 2.5 * (8 * 256 * n)
 
     def test_aspect_ratio(self):
         lab = sample_labels(60, substream(9, 2))
@@ -278,7 +294,8 @@ class TestGaussianSurrogate:
         np.testing.assert_array_equal(surr.T, surr.T.T)
 
     def test_matches_full_matrix_formula(self):
-        # the spike is added in row blocks; every n here ends in a partial block
+        # formed in row blocks and stored float32; every n here ends in a
+        # partial block
         for n in (300, 1001, 1500):
             lab = sample_labels(n, substream(12, 2, n))
             for lam in (0.0, 2.5):
@@ -286,7 +303,21 @@ class TestGaussianSurrogate:
                 M = substream(12, 3, n).standard_normal((n, n))
                 T = (M + M.T) / np.sqrt(2.0) \
                     + np.sqrt(lam / n) * np.outer(lab.x_star, lab.x_star)
-                assert surr.T.tobytes() == T.tobytes()
+                assert surr.T.dtype == np.float32
+                assert surr.T.tobytes() == T.astype(np.float32).tobytes()
+
+    def test_peak_memory_is_the_noise_draw_plus_float32_storage(self):
+        # the float64 n x n draw, the float32 result and two row blocks
+        n = 1500
+        lab = sample_labels(n, substream(12, 4))
+        tracemalloc.start()
+        try:
+            surr = sample_gaussian_surrogate(lab, 2.5, substream(12, 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert surr.T.nbytes == 4 * n * n
+        assert peak <= 12 * n * n + 2.5 * (8 * 256 * n)
 
     def test_noise_variances(self):
         n = 900
