@@ -62,9 +62,6 @@ class SymmetricOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.matvec(v)
-
 
 class DenseSymmetricOperator(SymmetricOperator):
     """v -> (M v) / denom for a dense symmetric M; the product runs in M's

@@ -19,11 +19,11 @@ sqrt(lambda / n) x x^T exactly like the Gaussian surrogate scaled by
 
 Memory: a network layer takes O(n + edges), never O(n^2).  The covariate
 matrix and the dense surrogate are stored float32, so every product with
-them reads 4 bytes per entry; each is formed in float64 a block of rows at
-a time (noise plus spike) and rounded once into storage.  Sampling the
-covariates takes two float64 row blocks beyond the stored matrix, and
-sampling the surrogate also holds its float64 n x n noise draw (12 n^2
-bytes in all).
+them reads 4 bytes per entry.  Each is drawn straight into that storage in
+float32, a block of rows at a time, and the spike is added to the block in
+place; the surrogate draws only its upper triangle and mirrors it.  So
+sampling either holds the stored matrix plus a few block-sized temporaries:
+about 4 p n bytes for the covariates and 4 n^2 for the surrogate.
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ def substream(root_seed: int, *path: int) -> np.random.Generator:
     The same (root_seed, path) always yields the same stream, and distinct
     paths yield statistically independent streams, so replicates and the
     objects inside a replicate can be sampled in any order or in parallel.
+    The covariate and surrogate samplers also draw from the children of
+    their stream, which are the paths one longer, ``path + (block,)``: hand
+    them only paths that no other stream extends.
     """
     return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=tuple(path)))
 
@@ -266,28 +269,33 @@ class CovariateModel:
         return self.B - np.sqrt(self.mu / self.n) * np.outer(self.v_star, x_star.x_star)
 
 
-# Rows of the covariate matrix or the Gaussian surrogate formed per block;
-# a block's float64 temporaries are _SPIKE_ROWS x n.
-_SPIKE_ROWS = 256
+# Rows of the covariate matrix or the Gaussian surrogate drawn per block.
+# Block b is drawn from child b of the sampler's generator (``rng.spawn``;
+# for ``substream(seed, *path)`` that child is ``substream(seed, *path, b)``),
+# so this constant is part of the random stream: changing it changes every
+# sampled matrix.  A block's temporaries are _BLOCK_ROWS x n.  The spike is
+# added to a block in float32: x* is +-1, so each spike entry is its scale
+# rounded to float32, with a sign.
+_BLOCK_ROWS = 256
 
 
-def _spiked_float32(noise_rows, scaled: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """float32 array whose rows i:j are noise_rows(i, j) + outer(scaled[i:j], x),
-    summed in float64 and rounded once, with no float64 temporary the size
-    of the result.  x is +-1, so every entry equals the full outer-product
-    formula's, cast to float32, bit for bit."""
-    A = np.empty((scaled.size, x.size), dtype=np.float32)
-    for i in range(0, scaled.size, _SPIKE_ROWS):
-        j = min(i + _SPIKE_ROWS, scaled.size)
-        np.add(noise_rows(i, j), np.multiply.outer(scaled[i:j], x), out=A[i:j])
+def _fill_blocks(rows: int, n: int, rng: np.random.Generator, fill) -> np.ndarray:
+    """float32 rows x n array A filled one block at a time: fill(A, i, j,
+    child) writes the block of rows i:j from that block's own generator,
+    so a block's values depend only on the stream and its index."""
+    A = np.empty((rows, n), dtype=np.float32)
+    starts = range(0, rows, _BLOCK_ROWS)
+    for i, child in zip(starts, rng.spawn(len(starts))):
+        fill(A, i, min(i + _BLOCK_ROWS, rows), child)
     return A
 
 
 def sample_covariates(x_star: CommunityLabels, mu: float, p: int, rng) -> CovariateModel:
     """Sample the spike v* ~ N(0, I_p) and the p x n covariate matrix.
 
-    The noise is drawn a block of rows at a time, which consumes the random
-    stream exactly as one p x n draw does.
+    v* comes from ``rng`` itself; each block of rows of the noise is drawn
+    in float32 from its own child of ``rng`` (see ``_BLOCK_ROWS``), straight
+    into the stored matrix.
     """
     if mu < 0.0:
         raise ValueError(f"spike strength must be nonnegative, got {mu}")
@@ -296,8 +304,14 @@ def sample_covariates(x_star: CommunityLabels, mu: float, p: int, rng) -> Covari
     rng = _as_rng(rng)
     n = x_star.n
     v_star = rng.standard_normal(p)
-    B = _spiked_float32(lambda i, j: rng.standard_normal((j - i, n)),
-                        np.sqrt(mu / n) * v_star, x_star.x_star)
+    scaled = (np.sqrt(mu / n) * v_star).astype(np.float32)
+    x = x_star.x_star.astype(np.float32)
+
+    def fill(B, i, j, child):
+        child.standard_normal(out=B[i:j], dtype=np.float32)
+        B[i:j] += np.multiply.outer(scaled[i:j], x)
+
+    B = _fill_blocks(p, n, rng, fill)
     return CovariateModel(mu=float(mu), v_star=v_star, B=B)
 
 
@@ -317,18 +331,34 @@ class GaussianSurrogate:
 
 
 def sample_gaussian_surrogate(x_star: CommunityLabels, lam: float, rng) -> GaussianSurrogate:
+    """Sample T = sqrt(lam/n) x* x*^T + Z from its upper triangle.
+
+    Block b of rows i:j draws, in float32 from child b of ``rng`` (see
+    ``_BLOCK_ROWS``), only its upper panel: rows i:j, columns i:n.  The
+    upper triangle of the panel's diagonal square is copied onto its lower
+    triangle and the diagonal scaled by sqrt(2), which gives Z its law:
+    N(0, 1) off the diagonal, N(0, 2) on it.  The spike is added and the
+    panel written into T with its transpose, so T is exactly symmetric.
+    """
     if lam < 0.0:
         raise ValueError(f"signal strength must be nonnegative, got {lam}")
     rng = _as_rng(rng)
     n = x_star.n
-    M = rng.standard_normal((n, n))
+    x = x_star.x_star.astype(np.float32)
+    scaled = np.float32(np.sqrt(lam / n)) * x
 
-    def noise_rows(i, j):
-        rows = M[i:j] + M[:, i:j].T
-        rows /= np.sqrt(2.0)
-        return rows
+    def fill(T, i, j, child):
+        panel = child.standard_normal((j - i, n - i), dtype=np.float32)
+        square = panel[:, :j - i]
+        lower = np.tril_indices(j - i, -1)
+        square[lower] = square.T[lower]
+        diag = np.arange(j - i)
+        square[diag, diag] *= np.sqrt(2.0)
+        panel += np.multiply.outer(scaled[i:j], x[i:])
+        T[i:j, i:] = panel
+        T[i:, i:j] = panel.T
 
-    T = _spiked_float32(noise_rows, np.sqrt(lam / n) * x_star.x_star, x_star.x_star)
+    T = _fill_blocks(n, n, rng, fill)
     return GaussianSurrogate(T=T, lam=float(lam))
 
 

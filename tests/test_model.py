@@ -239,18 +239,21 @@ class TestCovariates:
         np.testing.assert_array_equal(a.B, b.B)
 
     def test_matches_outer_product_formula(self):
-        # noise and spike are formed in row blocks and stored float32; p = 600
-        # spans a partial last block
+        # v* comes from the stream itself and noise block b from its child b,
+        # which is substream(9, 5, b), drawn float32; p = 600 spans a partial
+        # last block
         n, p = 37, 600
         lab = sample_labels(n, substream(9, 4))
+        noise = np.concatenate([substream(9, 5, b).standard_normal((rows, n), dtype=np.float32)
+                                for b, rows in enumerate((256, 256, 88))])
+        v_star = substream(9, 5).standard_normal(p)
         for mu in (0.0, 0.5, 0.9, 3.0):
             cov = sample_covariates(lab, mu, p, substream(9, 5))
-            rng = substream(9, 5)
-            v_star = rng.standard_normal(p)
-            B = rng.standard_normal((p, n))
-            B += np.sqrt(mu / n) * np.outer(v_star, lab.x_star)
+            spike = np.outer((np.sqrt(mu / n) * v_star).astype(np.float32),
+                             lab.x_star.astype(np.float32))
             assert cov.B.dtype == np.float32
-            assert cov.B.tobytes() == B.astype(np.float32).tobytes()
+            assert cov.v_star.tobytes() == v_star.tobytes()
+            assert cov.B.tobytes() == (noise + spike).tobytes()
 
     def test_peak_memory_is_the_stored_matrix_plus_row_blocks(self):
         # float32 storage plus two float64 row blocks, the noise and its
@@ -294,17 +297,25 @@ class TestGaussianSurrogate:
         np.testing.assert_array_equal(surr.T, surr.T.T)
 
     def test_matches_full_matrix_formula(self):
-        # formed in row blocks and stored float32; every n here ends in a
-        # partial block
+        # block b of rows i:j draws rows i:j, columns i:n from substream(12,
+        # 3, n, b) in float32; T keeps the strict upper triangle of those
+        # panels, mirrored, and sqrt(2) times their diagonal; every n here
+        # ends in a partial block
         for n in (300, 1001, 1500):
             lab = sample_labels(n, substream(12, 2, n))
+            U = np.zeros((n, n), dtype=np.float32)
+            for b, i in enumerate(range(0, n, 256)):
+                j = min(i + 256, n)
+                U[i:j, i:] = substream(12, 3, n, b).standard_normal((j - i, n - i),
+                                                                    dtype=np.float32)
+            Z = np.triu(U, 1) + np.triu(U, 1).T
+            np.fill_diagonal(Z, (np.diag(U) * np.sqrt(2.0)).astype(np.float32))
+            x = lab.x_star.astype(np.float32)
             for lam in (0.0, 2.5):
                 surr = sample_gaussian_surrogate(lab, lam, substream(12, 3, n))
-                M = substream(12, 3, n).standard_normal((n, n))
-                T = (M + M.T) / np.sqrt(2.0) \
-                    + np.sqrt(lam / n) * np.outer(lab.x_star, lab.x_star)
+                T = Z + np.float32(np.sqrt(lam / n)) * np.outer(x, x)
                 assert surr.T.dtype == np.float32
-                assert surr.T.tobytes() == T.astype(np.float32).tobytes()
+                assert surr.T.tobytes() == T.tobytes()
 
     def test_peak_memory_is_the_noise_draw_plus_float32_storage(self):
         # the float64 n x n draw, the float32 result and two row blocks
@@ -318,6 +329,23 @@ class TestGaussianSurrogate:
             tracemalloc.stop()
         assert surr.T.nbytes == 4 * n * n
         assert peak <= 12 * n * n + 2.5 * (8 * 256 * n)
+
+    def test_peak_memory_is_the_float32_storage_plus_a_few_panels(self):
+        # the float32 result (4 n^2), one float32 upper panel and its float32
+        # spike (a 256 x n float32 panel each), and the lower-triangle
+        # indices of the panel's diagonal square (two int64 vectors of
+        # 256 * 255 / 2 entries, a third of a panel at this n)
+        n = 1500
+        panel = 4 * 256 * n
+        lab = sample_labels(n, substream(12, 6))
+        tracemalloc.start()
+        try:
+            surr = sample_gaussian_surrogate(lab, 2.5, substream(12, 7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert surr.T.nbytes == 4 * n * n
+        assert peak <= 4 * n * n + 3 * panel
 
     def test_noise_variances(self):
         n = 900
