@@ -3,7 +3,8 @@
 Three subcommands:
 
 * ``theory``   - tabulate the closed-form limits (fixed point, MMSE limit,
-  detectability, mutual-information limit) over a (lambda, mu) grid.
+  detectability, mutual-information limit) over a (lambda, mu) grid, all
+  at eps = 0 (nothing revealed), as the paper states them.
 * ``simulate`` - run a Monte-Carlo sweep for one model family and compare
   the empirical errors against the theory column; optional SVG overlay
   plot and instance export.
@@ -139,7 +140,6 @@ TABLES = {
         Opt("lambda-grid", parse_grid, None, "network strengths: 'a,b,c' or 'lo:hi:count'"),
         Opt("mu-grid", parse_grid, None, "covariate strengths: same syntax"),
         Opt("c", float, None, "subjects-per-feature ratio n/p"),
-        Opt("eps", float, "0", "revelation fraction for z_star"),
         OUT_DIR),
     "simulate": (
         Opt("family", str, "gaussian", "model family", FAMILIES),
@@ -153,7 +153,8 @@ TABLES = {
         Opt("stop-tol", float, "1e-6", "stop a replicate once the RMS change of its "
             "labels between steps falls below this; 0 runs all n-iter steps"),
         Opt("init", str, "spectral", "initialization", INITS),
-        Opt("eps", float, "0", "revelation fraction for revelation init"),
+        Opt("eps", float, "0", "revelation fraction: in (0, 1] for revelation init, "
+            "0 for spectral"),
         Opt("m", int, "1", "number of network layers"),
         Opt("r-fractions", parse_grid, "1", "per-layer strength fractions, summing to 1"),
         Opt("p-bar-coeffs", parse_grid, "0.7",
@@ -297,7 +298,7 @@ def cmd_theory(s: dict[str, Any]) -> int:
     lam_grid, mu_grid, c = s["lambda-grid"], s["mu-grid"], s["c"]
     if not lam_grid or not mu_grid or c is None:
         raise UsageError("theory requires --lambda-grid, --mu-grid and --c")
-    cfgs = [_checked(SeConfig, lam=lam, mu=mu, c=c, eps=s["eps"])
+    cfgs = [_checked(SeConfig, lam=lam, mu=mu, c=c)
             for lam in lam_grid for mu in mu_grid]
     out = s["out-dir"]
     out.mkdir(parents=True, exist_ok=True)

@@ -103,7 +103,8 @@ class ExperimentConfig:
 
     The swept parameter (``sweep_param``) runs over ``grid`` while the
     other of (lambda, mu) is held at ``fixed_value``.  ``init`` selects the
-    spectral start or zero iterates with eps-revelation.  ``n_iter`` caps
+    spectral start or zero iterates with eps-revelation; ``eps`` lies in
+    (0, 1] for revelation and is 0 for the spectral start.  ``n_iter`` caps
     the iteration, which ends earlier once the root-mean-square change of
     the labels between two steps falls below ``stop_tol``; ``stop_tol = 0``
     runs all ``n_iter`` steps.  ``r_fractions`` must be positive and sum to
@@ -151,7 +152,10 @@ class ExperimentConfig:
         if self.init not in INITS:
             raise ValueError(f"init must be 'spectral' or 'revelation', got {self.init!r}")
         if self.init == "revelation" and not 0.0 < self.eps <= 1.0:
-            raise ValueError("revelation init requires eps in (0, 1]")
+            raise ValueError(f"revelation init requires eps in (0, 1], got {self.eps}")
+        if self.init != "revelation" and self.eps != 0.0:
+            raise ValueError(f"eps is the revelation fraction of revelation init; "
+                             f"leave it at 0 for {self.init} init, got {self.eps}")
         if self.se_init_mode not in SE_INIT_MODES:
             raise ValueError(f"se_init_mode must be one of {SE_INIT_MODES}, "
                              f"got {self.se_init_mode!r}")
@@ -264,8 +268,7 @@ def draw_instance(cfg: ExperimentConfig, point_index: int,
                     stacklevel=2)
             params = rates_from_lambda(r_i * lam, p_bar, n)
             network.append(sample_sbm_layer(labels, params, rng(_STREAM_LAYER_BASE + i)))
-    eps = cfg.eps if cfg.init == "revelation" else 0.0
-    masks = sample_revelation(labels, cov.v_star, eps, rng(_STREAM_MASKS))
+    masks = sample_revelation(labels, cov.v_star, cfg.eps, rng(_STREAM_MASKS))
     return ReplicateInstance(labels=labels, covariates=cov, network=network, masks=masks)
 
 
@@ -288,7 +291,7 @@ def run_replicate(cfg: ExperimentConfig, point_index: int, rep_index: int) -> Re
     traj = se_run(SeConfig(
         lam=lam, mu=mu, c=cfg.c, eps=inst.masks.eps,
         init_mode="zero" if revelation else cfg.se_init_mode, seed=int(se_seed),
-        t_max=cfg.n_iter + 1, revealed_spike_snr=revelation))
+        t_max=cfg.n_iter + 1))
 
     if revelation:
         state = init_zero(inst.masks, traj, cfg.p)
@@ -327,7 +330,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[AggregateResult]:
     """All grid points with replication; per-point errors, a failed theory
     column included (its theory_mmse is then NaN), are recorded and the
     sweep continues.  Output order follows the grid, independent of the
-    execution schedule."""
+    execution schedule.
+
+    The theory column is the limit the sweep's runs approach,
+    ``limit_mmse`` at the sweep's eps (0 for the spectral start);
+    ``detectable`` is the eps = 0 threshold."""
     tasks = [(i, r) for i in range(len(cfg.grid)) for r in range(cfg.replicates)]
 
     def run_one(task):
@@ -343,7 +350,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[AggregateResult]:
         lam, mu = cfg.point(value)
         errors = []
         try:
-            theory_mmse = limit_mmse(lam, mu, cfg.c)
+            theory_mmse = limit_mmse(lam, mu, cfg.c, cfg.eps)
         except MvampError as exc:
             theory_mmse = np.nan
             errors.append(f"theory: {type(exc).__name__}: {exc}")
@@ -394,8 +401,7 @@ def se_check_config(lam: float, mu: float, c: float, eps: float, n: int,
         raise ValueError(f"n >= 2, t_max >= 1 and replicates >= 1 required, "
                          f"got {n}, {t_max} and {replicates}")
     # Built for its checks, which name lam, mu, c and eps.
-    SeConfig(lam=lam, mu=mu, c=c, eps=eps, init_mode="zero", t_max=t_max + 1,
-             revealed_spike_snr=True)
+    SeConfig(lam=lam, mu=mu, c=c, eps=eps, init_mode="zero", t_max=t_max + 1)
     if eps == 0.0:
         raise ValueError("tracking check requires eps in (0, 1]")
     p = round(n / c)
@@ -413,7 +419,7 @@ def run_se_check(cfg: ExperimentConfig) -> SeCheckReport:
     lam, mu = cfg.point(cfg.grid[0])
     # The theory runs at the realized ratio n / p.
     traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=cfg.eps, init_mode="zero",
-                           t_max=cfg.n_iter + 1, revealed_spike_snr=True))
+                           t_max=cfg.n_iter + 1))
     trajs = _map_replicates(lambda rep: run_replicate(cfg, 0, rep).overlap_trajectory,
                             range(cfg.replicates), cfg.threads)
     t_max = cfg.n_iter
@@ -427,9 +433,9 @@ def se_consistency_check(lam: float, mu: float, c: float, eps: float, n: int,
                          threads: int = 1) -> SeCheckReport:
     """Track the zero-initialized, eps-revealed run against state evolution.
 
-    Uses the dense symmetric family and the revealed-spike channel
-    convention, which is what the algorithm realizes (see the state
-    evolution module docstring).  Every replicate runs all t_max steps
+    Uses the dense symmetric family; the recursion counts the revealed
+    spike coordinates as the algorithm does (see the state evolution module
+    docstring).  Every replicate runs all t_max steps
     (``stop_tol=0``): state evolution predicts each step, and the
     trajectories are averaged step by step.  The same as
     ``run_se_check(se_check_config(...))``.

@@ -8,22 +8,21 @@ whose iterates predict the per-step overlap between the denoised label
 iterate and the truth, and whose largest fixed point z* gives the
 asymptotic limits: the matrix MMSE is 1 - z*^2, detection is possible
 exactly when lambda + mu^2 / c > 1, and the per-vertex mutual information
-limit is the closed form ``xi_limit``.
+limit is the closed form ``xi_limit``.  The paper states these limits at
+eps = 0.
 
-The covariate-channel term w(z) comes in two conventions that agree at
-eps = 0 (all the z* / MMSE / xi theory is evaluated there):
+A fraction eps > 0 of the truth is revealed only by the zero start of the
+iteration (the orchestrated analysis and the tracking check).  The
+covariate-channel term is
 
-* default: w(z) = (1 - eps) * mu z / (1 + mu z).  This is the plain
-  closed-form recursion; it satisfies G_eps(0) = eps.
-* ``revealed_spike_snr=True``: w(z) = eps + (1 - eps) * mu z / (1 + mu z).
-  The revealed spike coordinates are counted as noiseless observations.
-  The iterative algorithm really does realize this extra signal (the
-  revealed coordinates of the spike estimate are copied from the truth and
-  feed the label orbit through the covariate matrix), so the Monte-Carlo
-  tracking harness must be compared against this variant.  Verified
-  empirically: at (lambda, mu, c, eps) = (2, 1, 1, 0.1), n = 3000, the
-  mean overlap trajectory matches this variant to ~5e-3 while the default
-  variant is off by up to ~0.07 at early iterations.
+    w(z) = eps + (1 - eps) * mu z / (1 + mu z),
+
+which counts the revealed spike coordinates as noiseless observations: the
+iteration copies them from the truth, and they feed the label orbit
+through the covariate matrix.  At eps = 0 it is mu z / (1 + mu z).
+Verified empirically: at (lambda, mu, c, eps) = (2, 1, 1, 0.1), n = 3000,
+the mean overlap trajectory matches this recursion to ~5e-3, while
+dropping the eps term is off by up to ~0.07 at early iterations.
 
 :func:`se_run` turns the recursion into the iteration's denoiser schedule.
 The channel parameters of each step reduce to closed forms: after step 0
@@ -90,7 +89,6 @@ class SeConfig:
     init_mode: str = "deterministic-z1"
     seed: int | None = None
     t_max: int = 10_000
-    revealed_spike_snr: bool = False
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.lam, self.mu, self.c, self.eps)):
@@ -110,27 +108,27 @@ class SeConfig:
             raise ValueError("init_mode 'random-interval' requires a seed")
 
 
-def _covariate_weight(z, mu: float, eps: float, revealed_spike_snr: bool):
+def _covariate_weight(z, mu: float, eps: float):
     """The w(z) term: covariate-orbit overlap fraction feeding the label
-    channel (elementwise on an array of states)."""
+    channel, the revealed fraction eps included (elementwise on an array of
+    states)."""
     theta = mu * z
-    w = (1.0 - eps) * (theta / (1.0 + theta))
-    if revealed_spike_snr:
-        w += eps
-    return w
+    return (1.0 - eps) * (theta / (1.0 + theta)) + eps
 
 
 def _label_snr(z: float, cfg: SeConfig) -> float:
     """eta(z) = lam z + (mu / c) w(z): the snr of the channel that G_eps
     and the mutual-information functional evaluate."""
-    w = _covariate_weight(z, cfg.mu, cfg.eps, cfg.revealed_spike_snr)
+    w = _covariate_weight(z, cfg.mu, cfg.eps)
     return cfg.lam * z + (cfg.mu / cfg.c) * w
 
 
 def se_scalar_step(z: float, cfg: SeConfig) -> float:
     """One application of the scalar map G_eps.
 
-    Maps [0, 1] into [eps, 1] (default convention); increasing and concave.
+    Increasing and concave on [0, 1], with G_eps(0) = 1 - (1 - eps) *
+    mmse((mu / c) eps): with nothing else to go on, the revealed labels and
+    the revealed spike coordinates still carry signal.
     """
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"scalar state must lie in [0, 1], got {z}")
@@ -147,8 +145,8 @@ def fixed_point_z(cfg: SeConfig) -> float:
     Without revelation the map has slope lam + mu^2/c at the origin, so at
     or below the detection threshold the only nonnegative fixed point is 0
     and it is returned exactly; iterating would converge only polynomially
-    at the critical point itself.  With eps > 0 the fixed point is unique
-    and the iteration contracts geometrically.
+    at the critical point itself.  With eps > 0, G_eps(0) > 0, the fixed
+    point z*_eps is unique and the iteration contracts geometrically.
     """
     if cfg.eps == 0.0 and not detection_possible(cfg.lam, cfg.mu, cfg.c):
         return 0.0
@@ -165,12 +163,15 @@ def fixed_point_z(cfg: SeConfig) -> float:
         residual=residual, iterations=_FP_MAX_STEPS)
 
 
-def limit_mmse(lam: float, mu: float, c: float) -> float:
-    """Asymptotic matrix MMSE, 1 - z*(lam, mu)^2.
+def limit_mmse(lam: float, mu: float, c: float, eps: float = 0.0) -> float:
+    """Asymptotic matrix MMSE, 1 - z*_eps(lam, mu)^2.
 
-    Equals 1 exactly when lam + mu^2 / c <= 1 and is < 1 otherwise.
+    At eps = 0 this is the paper's limit: 1 exactly when lam + mu^2 / c <= 1
+    and < 1 otherwise.  With eps > 0 it is the limit of the iteration
+    started from zero iterates with an eps fraction of the truth revealed,
+    the value a revelation sweep is compared with.
     """
-    z_star = fixed_point_z(SeConfig(lam=lam, mu=mu, c=c))
+    z_star = fixed_point_z(SeConfig(lam=lam, mu=mu, c=c, eps=eps))
     return 1.0 - z_star ** 2
 
 
@@ -283,7 +284,7 @@ def se_run(cfg: SeConfig) -> SeTrajectory:
     # The label denoiser of step k follows z[k - 1]; step 0 of
     # deterministic-z1 follows z = 1.
     z_prev = np.concatenate(([1.0], z[:-1]))
-    w_prev = _covariate_weight(z_prev, cfg.mu, cfg.eps, cfg.revealed_spike_snr)
+    w_prev = _covariate_weight(z_prev, cfg.mu, cfg.eps)
     a = np.where(w_prev != 0.0, math.sqrt(cfg.mu / cfg.c), 0.0)
     b = np.where(z_prev != 0.0, math.sqrt(cfg.lam), 0.0)
     if cfg.init_mode != "deterministic-z1":

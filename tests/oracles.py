@@ -129,9 +129,7 @@ def denoiser_ratios(cfg, z):
     lam, mu, c, eps = cfg.lam, cfg.mu, cfg.c, cfg.eps
 
     def label_params(zk):
-        w = (1.0 - eps) * (mu * zk / (1.0 + mu * zk))
-        if cfg.revealed_spike_snr:
-            w += eps
+        w = eps + (1.0 - eps) * (mu * zk / (1.0 + mu * zk))
         return np.sqrt(mu / c) * w, w, np.sqrt(lam) * zk, zk
 
     T = len(z) - 1

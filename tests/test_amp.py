@@ -141,8 +141,7 @@ def small_instance(n=8, p=5, lam=2.0, mu=1.0, eps=0.25, seed=11):
     masks = sample_revelation(lab, cov.v_star, eps, substream(seed, 3))
     sym_op = DenseSymmetricOperator(surr.T, denom=np.sqrt(n))
     b_op = RectOperator(cov.B)
-    traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=eps, init_mode="zero",
-                           t_max=12, revealed_spike_snr=True))
+    traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=eps, init_mode="zero", t_max=12))
     return lab, surr, cov, masks, sym_op, b_op, traj
 
 
@@ -255,8 +254,7 @@ class TestRunAmp:
         lab, surr, cov, masks, _, _, traj = small_instance(n, p, lam=3.0, seed=22)
         sym_op = DenseSymmetricOperator(surr.T.astype(np.float64), denom=np.sqrt(n))
         b_op = RectOperator(cov.B.astype(np.float64))
-        traj = se_run(SeConfig(lam=3.0, mu=1.0, c=n / p, eps=0.25, init_mode="zero",
-                               t_max=101, revealed_spike_snr=True))
+        traj = se_run(SeConfig(lam=3.0, mu=1.0, c=n / p, eps=0.25, init_mode="zero", t_max=101))
         out = run_amp(sym_op, b_op, masks, traj, n_iter=100, x_star=lab.x_star,
                       stop_tol=1e-8)
         assert out.n_steps < 100
@@ -304,8 +302,7 @@ class TestRunAmp:
         cov = sample_covariates(lab, mu, p, substream(24, 1))
         surr = sample_gaussian_surrogate(lab, lam, substream(24, 2))
         masks = sample_revelation(lab, cov.v_star, eps, substream(24, 3))
-        traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=eps, init_mode="zero",
-                               t_max=4, revealed_spike_snr=True))
+        traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=eps, init_mode="zero", t_max=4))
 
         def final_q(T, B, x0, mask_x):
             mm = RevelationMasks(eps=eps, x0=x0, mask_x=mask_x,

@@ -97,15 +97,19 @@ class TestTheoryCommand:
         assert run_cli("theory", "--lambda-grid", "1", "--mu-grid", "0.5", "--c", "1.5",
                        flag, "4", "--out-dir", str(tmp_path / "o")) == 1
 
-    def test_revelation_fraction_raises_fixed_point(self, tmp_path):
-        # z_star is evaluated at the requested eps; the limit columns stay
-        # at their eps = 0 definitions
+    @pytest.mark.parametrize("ini", [None, "[theory]\neps = 0.3\n"])
+    def test_has_no_revelation_fraction(self, tmp_path, capsys, ini):
+        # theory reports the eps = 0 limits only; eps is no setting of it
+        args = ("theory", "--lambda-grid", "0.5", "--mu-grid", "0.5", "--c", "1")
+        if ini is None:
+            args += ("--eps", "0.3")
+        else:
+            (tmp_path / "run.ini").write_text(ini)
+            args += ("--config", str(tmp_path / "run.ini"))
         out = tmp_path / "o"
-        run_cli("theory", "--lambda-grid", "0.5", "--mu-grid", "0.5", "--c", "1",
-                "--eps", "0.3", "--out-dir", str(out))
-        row = (out / "theory.csv").read_text().splitlines()[1].split(",")
-        assert float(row[3]) >= 0.3   # z_star with revelation
-        assert row[4] == "1"          # limit_mmse: subcritical without it
+        assert run_cli(*args, "--out-dir", str(out)) == 1
+        assert "eps" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -338,6 +342,12 @@ def test_unknown_subcommand_is_usage_error():
       "--p-bar-coeffs", "9", "--n", "100", "--p", "60", "--replicates", "1"), None),
     (("simulate", "--stop-tol", "-1", "--n", "100", "--p", "60", "--replicates", "1"), None),
     (("simulate", "--stop-tol", "nan", "--n", "100", "--p", "60", "--replicates", "1"), None),
+    (("simulate", "--eps", "nan", "--n", "100", "--p", "60", "--replicates", "1"), None),
+    (("simulate", "--eps", "7", "--n", "100", "--p", "60", "--replicates", "1"), None),
+    (("simulate", "--eps", "-2", "--n", "100", "--p", "60", "--replicates", "1"), None),
+    (("simulate", "--n", "100", "--p", "60", "--replicates", "1"), "[simulate]\neps = 0.3\n"),
+    (("simulate", "--init", "revelation", "--eps", "1.5", "--n", "100", "--p", "60",
+      "--replicates", "1"), None),
     (("se-check", "--lambda", "nan", "--n", "100", "--replicates", "1"), None),
     (("se-check", "--n", "1", "--replicates", "1"), None),
 ])

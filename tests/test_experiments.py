@@ -222,9 +222,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="gaussian"):
             small_cfg(**kw)
 
-    def test_revelation_needs_eps(self):
-        with pytest.raises(ValueError):
-            small_cfg(init="revelation", eps=0.0)
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 1.5, float("nan")])
+    def test_revelation_needs_eps(self, eps):
+        with pytest.raises(ValueError, match="revelation init requires eps"):
+            small_cfg(init="revelation", eps=eps)
+
+    @pytest.mark.parametrize("eps", [0.3, float("nan"), 7.0, -2.0])
+    def test_spectral_start_rejects_eps(self, eps):
+        # no spectral run reveals anything
+        with pytest.raises(ValueError, match="leave it at 0"):
+            small_cfg(eps=eps)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_must_be_positive(self, threads):
@@ -293,6 +300,19 @@ def test_dense_model_tracks_limit_at_moderate_strength():
                     n_iter=100)
     agg = run_sweep(cfg)[0]
     assert abs(agg.mean_mse - agg.theory_mmse) < 0.05
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3])
+def test_revelation_sweep_tracks_its_theory_column(eps):
+    # The column is the limit of the revealed run, 1 - z*_eps^2, and is held
+    # to criterion 04's dense tolerance; at lam = 0.5, below the threshold,
+    # the eps = 0 limit would read 1.
+    cfg = small_cfg(n=1500, p=900, grid=(0.5, 1.5, 3.0), fixed_value=0.5, replicates=10,
+                    n_iter=100, init="revelation", eps=eps)
+    for agg in run_sweep(cfg):
+        assert agg.errors == []
+        assert abs(agg.mean_mse - agg.theory_mmse) <= 0.05, (agg.lam, agg.mean_mse)
+        assert agg.theory_mmse == limit_mmse(agg.lam, agg.mu, cfg.c, eps)
 
 
 def test_mse_overlap_relation_at_scale():

@@ -32,9 +32,12 @@ class TestScalarStep:
         assert se_scalar_step(0.0, cfg(1.0, 1.0, 1.0)) == 0.0
 
     def test_origin_with_revelation(self):
-        # G_eps(0) = eps: the revealed fraction survives even with nothing
-        # else to go on.
-        assert abs(se_scalar_step(0.0, cfg(1.0, 1.0, 1.0, eps=0.3)) - 0.3) < 1e-15
+        # G_eps(0) = 1 - (1 - eps) mmse((mu / c) eps): with nothing else to go
+        # on, the revealed labels and the revealed spike coordinates survive.
+        eps, mu, c = 0.3, 1.0, 2.0
+        expected = 1.0 - (1.0 - eps) * scalar_mmse((mu / c) * eps)
+        assert abs(se_scalar_step(0.0, cfg(1.0, mu, c, eps=eps)) - expected) < 1e-15
+        assert expected > eps
 
     def test_network_only_step(self):
         expected = 1.0 - scalar_mmse(4.0)
@@ -132,6 +135,24 @@ class TestLimits:
         vals = [limit_mmse(1.2, mu, 1.0) for mu in np.linspace(0.0, 3.0, 11)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("lam,mu,c", [(0.5, 0.5, 5 / 3), (1.5, 0.9, 5 / 3),
+                                          (4.0, 0.0, 1.0), (0.0, 2.0, 1.0)])
+    def test_revelation_limit_falls_with_eps(self, lam, mu, c):
+        # 1 - z*_eps^2 from the revealed recursion: below the eps = 0 limit
+        # and falling as more of the truth is revealed
+        vals = [limit_mmse(lam, mu, c, eps) for eps in (0.0, 0.1, 0.3, 0.6)]
+        assert vals[0] == limit_mmse(lam, mu, c)
+        assert vals[2] == 1.0 - fixed_point_z(cfg(lam, mu, c, eps=0.3)) ** 2
+        assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    def test_full_revelation_limit_is_zero(self):
+        assert limit_mmse(0.5, 0.5, 5 / 3, 1.0) == 0.0
+
+    @pytest.mark.parametrize("eps", [-0.1, 1.5, float("nan")])
+    def test_revelation_limit_checks_eps(self, eps):
+        with pytest.raises(ValueError, match="eps|revelation fraction"):
+            limit_mmse(2.0, 0.9, 5 / 3, eps)
+
     def test_detection_threshold(self):
         assert not detection_possible(1.0, 0.0, 1.0)   # boundary is undetectable
         assert detection_possible(0.6, 0.9, 1.5)       # 0.6 + 0.54 = 1.14
@@ -198,11 +219,8 @@ class TestSeRun:
                                           (3.0, 0.0, 0.6), (0.0, 0.0, 1.0)])
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     @pytest.mark.parametrize("init_mode", ["deterministic-z1", "zero", "random-interval"])
-    @pytest.mark.parametrize("revealed", [False, True])
-    def test_denoiser_schedule_matches_channel_parameters(self, lam, mu, c, eps,
-                                                           init_mode, revealed):
-        traj = se_run(cfg(lam, mu, c, eps=eps, init_mode=init_mode, seed=7, t_max=30,
-                          revealed_spike_snr=revealed))
+    def test_denoiser_schedule_matches_channel_parameters(self, lam, mu, c, eps, init_mode):
+        traj = se_run(cfg(lam, mu, c, eps=eps, init_mode=init_mode, seed=7, t_max=30))
         for got, ref in zip((traj.a, traj.b, traj.g_slope), denoiser_ratios(traj.cfg, traj.z)):
             np.testing.assert_array_equal(got == 0.0, ref == 0.0)
             assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
@@ -218,10 +236,3 @@ class TestSeRun:
         np.testing.assert_array_equal(a.z, b.z)
         np.testing.assert_array_equal(a.a, b.a)
         np.testing.assert_array_equal(a.b, b.b)
-
-    def test_revealed_spike_channel_is_stronger(self):
-        plain = se_run(cfg(2.0, 1.0, 1.0, eps=0.1, init_mode="zero", t_max=10))
-        boosted = se_run(cfg(2.0, 1.0, 1.0, eps=0.1, init_mode="zero", t_max=10,
-                             revealed_spike_snr=True))
-        assert np.all(boosted.z[1:] >= plain.z[1:])
-        assert boosted.z[2] > plain.z[2] + 0.01
