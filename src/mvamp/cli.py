@@ -43,7 +43,7 @@ from .exceptions import MvampError
 from .experiments import (FAMILIES, INITS, SE_INIT_MODES, SWEEP_PARAMS, ExperimentConfig,
                           draw_instance, run_se_check, run_sweep, se_check_config)
 from .model import write_covariates_csv, write_edge_list, write_labels_csv
-from .state_evolution import SeConfig, detection_possible, fixed_point_z, limit_mmse, xi_limit
+from .state_evolution import SeConfig, detection_possible, theory_limits
 
 __all__ = ["main"]
 
@@ -303,8 +303,10 @@ def cmd_theory(s: dict[str, Any]) -> int:
     out = s["out-dir"]
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = [[f.lam, f.mu, c, fixed_point_z(f), limit_mmse(f.lam, f.mu, c),
-             detection_possible(f.lam, f.mu, c), xi_limit(f.lam, f.mu, c)] for f in cfgs]
+    rows = []
+    for f in cfgs:
+        z_star, mmse, xi = theory_limits(f.lam, f.mu, c)
+        rows.append([f.lam, f.mu, c, z_star, mmse, detection_possible(f.lam, f.mu, c), xi])
     write_csv(out / "theory.csv",
               ["lambda", "mu", "c", "z_star", "limit_mmse", "detectable", "xi"], rows)
     print(f"wrote {out / 'theory.csv'} ({len(rows)} rows)")

@@ -41,7 +41,7 @@ from .model import (CommunityLabels, CovariateModel, GaussianSurrogate, Revelati
                     SbmLayer, center_scale_layer, combine_layers, rates_from_lambda,
                     sample_covariates, sample_gaussian_surrogate, sample_labels,
                     sample_revelation, sample_sbm_layer, substream)
-from .state_evolution import SeConfig, detection_possible, limit_mmse, se_run
+from .state_evolution import SeConfig, limit_mmse, se_run
 
 __all__ = [
     "ExperimentConfig",
@@ -216,7 +216,6 @@ class AggregateResult:
     c: float
     replicates: int
     theory_mmse: float
-    detectable: bool
     mean_mse: float = np.nan
     sd_mse: float = np.nan
     min_mse: float = np.nan
@@ -333,8 +332,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[AggregateResult]:
     execution schedule.
 
     The theory column is the limit the sweep's runs approach,
-    ``limit_mmse`` at the sweep's eps (0 for the spectral start);
-    ``detectable`` is the eps = 0 threshold."""
+    ``limit_mmse`` at the sweep's eps (0 for the spectral start)."""
     tasks = [(i, r) for i in range(len(cfg.grid)) for r in range(cfg.replicates)]
 
     def run_one(task):
@@ -356,8 +354,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[AggregateResult]:
             errors.append(f"theory: {type(exc).__name__}: {exc}")
         agg = AggregateResult(
             family=cfg.family, n=cfg.n, p=cfg.p, lam=lam, mu=mu, c=cfg.c,
-            replicates=cfg.replicates, theory_mmse=theory_mmse,
-            detectable=detection_possible(lam, mu, cfg.c))
+            replicates=cfg.replicates, theory_mmse=theory_mmse)
         point = [outcomes[(i, r)] for r in range(cfg.replicates)]
         point_results = [o for o in point if isinstance(o, ReplicateResult)]
         agg.errors = errors + [o for o in point if isinstance(o, str)]

@@ -49,6 +49,7 @@ __all__ = [
     "limit_mmse",
     "detection_possible",
     "xi_limit",
+    "theory_limits",
     "gamma_star",
     "se_run",
 ]
@@ -123,6 +124,11 @@ def _label_snr(z: float, cfg: SeConfig) -> float:
     return cfg.lam * z + (cfg.mu / cfg.c) * w
 
 
+def _step(z: float, cfg: SeConfig) -> float:
+    """G_eps(z) for a z already known to lie in [0, 1]."""
+    return 1.0 - (1.0 - cfg.eps) * scalar_mmse(_label_snr(z, cfg))
+
+
 def se_scalar_step(z: float, cfg: SeConfig) -> float:
     """One application of the scalar map G_eps.
 
@@ -132,7 +138,7 @@ def se_scalar_step(z: float, cfg: SeConfig) -> float:
     """
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"scalar state must lie in [0, 1], got {z}")
-    return 1.0 - (1.0 - cfg.eps) * scalar_mmse(_label_snr(z, cfg))
+    return _step(z, cfg)
 
 
 def fixed_point_z(cfg: SeConfig) -> float:
@@ -150,13 +156,14 @@ def fixed_point_z(cfg: SeConfig) -> float:
     """
     if cfg.eps == 0.0 and not detection_possible(cfg.lam, cfg.mu, cfg.c):
         return 0.0
+    # G_eps maps [0, 1] into itself, so the iterates need no range check.
     z = 1.0
     for _ in range(_FP_MAX_STEPS):
-        z_next = se_scalar_step(z, cfg)
+        z_next = _step(z, cfg)
         if abs(z_next - z) < _FP_TOL:
             return z_next
         z = z_next
-    residual = abs(se_scalar_step(z, cfg) - z)
+    residual = abs(_step(z, cfg) - z)
     raise ConvergenceError(
         f"fixed-point iteration did not reach tol={_FP_TOL} within "
         f"{_FP_MAX_STEPS} steps (last residual {residual:.3e})",
@@ -171,7 +178,11 @@ def limit_mmse(lam: float, mu: float, c: float, eps: float = 0.0) -> float:
     started from zero iterates with an eps fraction of the truth revealed,
     the value a revelation sweep is compared with.
     """
-    z_star = fixed_point_z(SeConfig(lam=lam, mu=mu, c=c, eps=eps))
+    return _matrix_mmse(fixed_point_z(SeConfig(lam=lam, mu=mu, c=c, eps=eps)))
+
+
+def _matrix_mmse(z_star: float) -> float:
+    """The matrix MMSE 1 - z*^2 of a fixed point z*."""
     return 1.0 - z_star ** 2
 
 
@@ -202,8 +213,15 @@ def xi_limit(lam: float, mu: float, c: float) -> float:
     Zero when both signals vanish; saturates at log 2 for strong network
     signal.
     """
+    return theory_limits(lam, mu, c)[2]
+
+
+def theory_limits(lam: float, mu: float, c: float) -> tuple[float, float, float]:
+    """(z*, limit_mmse, xi_limit) at eps = 0 from a single fixed-point solve,
+    the values the three separate functions return."""
     cfg = SeConfig(lam=lam, mu=mu, c=c)
-    return float(_xi(fixed_point_z(cfg), cfg))
+    z_star = fixed_point_z(cfg)
+    return z_star, _matrix_mmse(z_star), float(_xi(z_star, cfg))
 
 
 def gamma_star(mu: float, c: float) -> float:
@@ -278,8 +296,9 @@ def se_run(cfg: SeConfig) -> SeTrajectory:
                                                    + m0 ** 2 / s0 ** 2)
     else:
         z[0] = 1.0 - (1.0 - cfg.eps) * scalar_mmse(0.0)
+    # Every step-0 state lies in [0, 1], and G_eps keeps it there.
     for k in range(1, T + 1):
-        z[k] = se_scalar_step(z[k - 1], cfg)
+        z[k] = _step(z[k - 1], cfg)
 
     # The label denoiser of step k follows z[k - 1]; step 0 of
     # deterministic-z1 follows z = 1.

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvamp import state_evolution
 from mvamp.cli import TABLES, main, parse_grid, UsageError
 from mvamp.experiments import ExperimentConfig, draw_instance
 from mvamp.model import write_covariates_csv, write_edge_list, write_labels_csv
@@ -51,6 +52,16 @@ class TestTheoryCommand:
         mus = [float(l.split(",")[1]) for l in lines[1:]]
         assert lams == [0, 0, 0, 1, 1, 1, 2, 2, 2]
         assert mus == [0, 0.5, 1] * 3
+
+    def test_solves_each_row_once(self, tmp_path, monkeypatch):
+        # The README grid: 25 x 3 rows, one fixed-point solve each.
+        calls = []
+        solve = state_evolution.fixed_point_z
+        monkeypatch.setattr(state_evolution, "fixed_point_z",
+                            lambda cfg: calls.append(cfg) or solve(cfg))
+        assert run_cli("theory", "--lambda-grid", "0.5:4.5:25", "--mu-grid", "0.5,0.7,0.9",
+                       "--c", "1.667", "--out-dir", str(tmp_path / "o")) == 0
+        assert len(calls) == 75
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

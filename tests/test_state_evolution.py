@@ -5,7 +5,7 @@ from mvamp.exceptions import ConvergenceError
 from mvamp.scalar_channel import scalar_mmse
 from mvamp.state_evolution import (SeConfig, detection_possible, fixed_point_z,
                                    gamma_star, limit_mmse, se_run, se_scalar_step,
-                                   xi_limit)
+                                   theory_limits, xi_limit)
 
 from oracles import bisect_fixed_point, denoiser_ratios, scalar_map, trapezoid_adaptive
 
@@ -111,6 +111,26 @@ class TestFixedPoint:
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-5
 
+    @pytest.mark.parametrize("point", [
+        (2.0, 0.9, 5.0 / 3.0, 0.0),
+        (1.0 - 0.81 / (5.0 / 3.0) + 1e-2, 0.9, 5.0 / 3.0, 0.0),   # 1824 steps
+        (1.0 - 0.25 / (5.0 / 3.0) + 1e-1, 0.5, 5.0 / 3.0, 0.0),
+        (0.0, 2.0, 1.0, 0.0),
+        (0.5, 0.5, 5.0 / 3.0, 0.3),
+        (2.0, 1.0, 1.0, 0.1),
+    ])
+    def test_equals_plain_iteration_of_the_checked_step(self, point):
+        # fixed_point_z iterates an unchecked copy of the step; it must give
+        # the same bits as iterating se_scalar_step itself from z = 1.
+        c = cfg(*point)
+        z = 1.0
+        for _ in range(10_000):
+            z_next = se_scalar_step(z, c)
+            if abs(z_next - z) < 1e-12:
+                break
+            z = z_next
+        assert fixed_point_z(c) == z_next
+
     def test_convergence_error_carries_residual(self):
         # 1e-4 above the threshold G'(z*) is so close to 1 that the
         # iteration cap is reached first.
@@ -121,6 +141,14 @@ class TestFixedPoint:
 
 
 class TestLimits:
+    @pytest.mark.parametrize("point", [(2.0, 0.9, 5.0 / 3.0), (0.5, 0.5, 5.0 / 3.0),
+                                       (0.0, 2.0, 1.0), (4.0, 0.0, 1.0)])
+    def test_theory_limits_equal_the_separate_functions(self, point):
+        z_star, mmse, xi = theory_limits(*point)
+        assert z_star == fixed_point_z(cfg(*point))
+        assert mmse == limit_mmse(*point)
+        assert xi == xi_limit(*point)
+
     def test_boundary_mmse_is_one(self):
         assert limit_mmse(1.0, 0.0, 1.0) == 1.0
         assert limit_mmse(0.0, 0.0, 1.0) == 1.0
