@@ -17,10 +17,24 @@ matvec.  scipy.sparse.linalg is imported inside that function, not here,
 and scipy.sparse is needed only as an annotation: callers that never take
 a spectral start (the theory functions, ``mvamp theory``) load no scipy
 module at all.
+
+While a sweep's replicates run, mvamp owns the cores:
+``experiments`` holds every OpenBLAS that numpy and scipy ship at one
+thread (:func:`_single_threaded_blas`) and draws each instance's row blocks
+on two threads of its own (:mod:`mvamp.model`).  OpenBLAS's second thread
+spin-waits after each product and would compete with those draws and with
+AMP's elementwise work.  One BLAS thread also makes every product's
+rounding, and so every sweep value, independent of
+``OPENBLAS_NUM_THREADS``.  Lanczos on its own runs slower on one thread,
+but the replicate as a whole runs faster: the draw and the AMP steps gain
+more than the spectral start loses.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -217,3 +231,74 @@ def leading_eigenpair(op: SymmetricOperator, tol: float = 1e-10, max_iter: int =
     if v[idx] < 0:
         v = -v
     return theta, v
+
+
+# The thread-count calls of the OpenBLAS builds that numpy's and scipy's
+# wheels ship: numpy's has a 64-bit integer interface and a 64_ suffix.
+_OPENBLAS_CALLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                   ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
+
+
+@functools.cache
+def _openblas_thread_calls() -> tuple:
+    """(path, get, set) of the thread count of every OpenBLAS that numpy and
+    scipy ship, found once per process.
+
+    The libraries sit in the wheels' ``numpy.libs`` and ``scipy.libs``
+    directories.  Each is opened by its path, which loads scipy's before
+    the spectral start imports ARPACK: the dynamic linker then reuses the
+    loaded copy, so ARPACK runs with the count set here.  A numpy or scipy
+    built against another BLAS contributes nothing.
+    """
+    import ctypes
+    import importlib.util
+    from pathlib import Path
+
+    calls = []
+    for package in ("numpy", "scipy"):
+        spec = importlib.util.find_spec(package)
+        if spec is None or not spec.submodule_search_locations:
+            continue
+        site = Path(spec.submodule_search_locations[0]).parent
+        for path in sorted(site.glob(f"{package}.libs/*openblas*.so*")):
+            lib = ctypes.CDLL(str(path))
+            for get_name, set_name in _OPENBLAS_CALLS:
+                if hasattr(lib, set_name):
+                    get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    calls.append((str(path), get, set_))
+                    break
+    return tuple(calls)
+
+
+# The thread count is a property of the process, so the pin's bookkeeping
+# is too: how many bodies run under it, and the counts to restore.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved: list = []
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Run the body with every OpenBLAS of numpy and scipy on one thread.
+
+    The previous thread counts are put back on exit, whether the body
+    returns or raises.  Nested or concurrent entries share one pin: the
+    first saves the counts and the last to leave restores them.
+    """
+    global _pin_depth, _pin_saved
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = [(set_, get()) for _, get, set_ in _openblas_thread_calls()]
+            for set_, _ in _pin_saved:
+                set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for set_, count in _pin_saved:
+                    set_(count)

@@ -20,14 +20,18 @@ sqrt(lambda / n) x x^T exactly like the Gaussian surrogate scaled by
 Memory: a network layer takes O(n + edges), never O(n^2).  The covariate
 matrix and the dense surrogate are stored float32, so every product with
 them reads 4 bytes per entry.  Each is drawn straight into that storage in
-float32, a block of rows at a time, and the spike is added to the block in
-place; the surrogate draws only its upper triangle and mirrors it.  So
-sampling either holds the stored matrix plus a few block-sized temporaries:
-about 4 p n bytes for the covariates and 4 n^2 for the surrogate.
+float32, a block of rows at a time, on two threads (the caller and one
+helper); the surrogate draws only its upper triangle and mirrors it.  Each
+thread works in one float32 scratch allocated by the caller: 32 rows
+through which the spike is added, and for the surrogate also the block's
+upper panel.  So sampling holds the stored matrix plus two scratches: about
+4 p n + 256 n bytes for the covariates and 4 n^2 + 2304 n for the surrogate.
 """
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -273,21 +277,64 @@ class CovariateModel:
 # Block b is drawn from child b of the sampler's generator (``rng.spawn``;
 # for ``substream(seed, *path)`` that child is ``substream(seed, *path, b)``),
 # so this constant is part of the random stream: changing it changes every
-# sampled matrix.  A block's temporaries are _BLOCK_ROWS x n.  The spike is
-# added to a block in float32: x* is +-1, so each spike entry is its scale
-# rounded to float32, with a sign.
+# sampled matrix.  The spike is added to a block in float32: x* is +-1, so
+# each spike entry is its scale rounded to float32, with a sign.
 _BLOCK_ROWS = 256
 
+# Rows of a block handled at a time through a thread's scratch when the
+# spike is added (and, in the surrogate, the lower triangle mirrored).
+_CHUNK_ROWS = 32
 
-def _fill_blocks(rows: int, n: int, rng: np.random.Generator, fill) -> np.ndarray:
-    """float32 rows x n array A filled one block at a time: fill(A, i, j,
-    child) writes the block of rows i:j from that block's own generator,
-    so a block's values depend only on the stream and its index."""
+# Threads that fill a matrix's blocks: the calling thread and one helper.
+_FILL_THREADS = 2
+
+
+def _fill_blocks(rows: int, n: int, rng: np.random.Generator, fill,
+                 scratch_rows: int) -> np.ndarray:
+    """float32 rows x n array A filled a block of rows at a time.
+
+    fill(A, i, j, child, scratch) writes the block of rows i:j from that
+    block's own generator, so a block's values depend only on the stream
+    and its index, not on which thread fills it or when.  The blocks are
+    shared out between _FILL_THREADS threads.  Every buffer is allocated
+    here, on the calling thread: the result and one float32 scratch of
+    scratch_rows x n entries per thread.  A helper thread that allocated
+    its own temporaries would grow its own malloc arena, which the process
+    keeps.
+    """
     A = np.empty((rows, n), dtype=np.float32)
     starts = range(0, rows, _BLOCK_ROWS)
-    for i, child in zip(starts, rng.spawn(len(starts))):
-        fill(A, i, min(i + _BLOCK_ROWS, rows), child)
+    blocks = zip(starts, rng.spawn(len(starts)))
+    lock = threading.Lock()
+
+    def work(scratch):
+        while True:
+            with lock:
+                block = next(blocks, None)
+            if block is None:
+                return
+            i, child = block
+            fill(A, i, min(i + _BLOCK_ROWS, rows), child, scratch)
+
+    scratch = [np.empty(scratch_rows * n, dtype=np.float32)
+               for _ in range(min(_FILL_THREADS, len(starts)))]
+    # The pool starts a thread only when a helper is submitted.
+    with ThreadPoolExecutor(max_workers=_FILL_THREADS - 1) as pool:
+        helpers = [pool.submit(work, s) for s in scratch[1:]]
+        work(scratch[0])
+        for helper in helpers:
+            helper.result()
     return A
+
+
+def _add_spike(block: np.ndarray, u: np.ndarray, x: np.ndarray, scratch: np.ndarray) -> None:
+    """block += outer(u, x) in float32, _CHUNK_ROWS rows at a time through
+    scratch (at least _CHUNK_ROWS x x.size entries)."""
+    for k in range(0, block.shape[0], _CHUNK_ROWS):
+        rows = block[k:k + _CHUNK_ROWS]
+        spike = scratch[:rows.size].reshape(rows.shape)
+        np.multiply.outer(u[k:k + _CHUNK_ROWS], x, out=spike)
+        rows += spike
 
 
 def sample_covariates(x_star: CommunityLabels, mu: float, p: int, rng) -> CovariateModel:
@@ -307,11 +354,11 @@ def sample_covariates(x_star: CommunityLabels, mu: float, p: int, rng) -> Covari
     scaled = (np.sqrt(mu / n) * v_star).astype(np.float32)
     x = x_star.x_star.astype(np.float32)
 
-    def fill(B, i, j, child):
+    def fill(B, i, j, child, scratch):
         child.standard_normal(out=B[i:j], dtype=np.float32)
-        B[i:j] += np.multiply.outer(scaled[i:j], x)
+        _add_spike(B[i:j], scaled[i:j], x, scratch)
 
-    B = _fill_blocks(p, n, rng, fill)
+    B = _fill_blocks(p, n, rng, fill, _CHUNK_ROWS)
     return CovariateModel(mu=float(mu), v_star=v_star, B=B)
 
 
@@ -347,18 +394,26 @@ def sample_gaussian_surrogate(x_star: CommunityLabels, lam: float, rng) -> Gauss
     x = x_star.x_star.astype(np.float32)
     scaled = np.float32(np.sqrt(lam / n)) * x
 
-    def fill(T, i, j, child):
-        panel = child.standard_normal((j - i, n - i), dtype=np.float32)
-        square = panel[:, :j - i]
-        lower = np.tril_indices(j - i, -1)
-        square[lower] = square.T[lower]
-        diag = np.arange(j - i)
-        square[diag, diag] *= np.sqrt(2.0)
-        panel += np.multiply.outer(scaled[i:j], x[i:])
+    lower = np.tri(_BLOCK_ROWS, k=-1, dtype=bool)
+
+    def fill(T, i, j, child, scratch):
+        r, m = j - i, n - i
+        panel = scratch[:r * m].reshape(r, m)
+        spare = scratch[_BLOCK_ROWS * n:]
+        child.standard_normal(out=panel, dtype=np.float32)
+        square = panel[:, :r]
+        for k in range(0, r, _CHUNK_ROWS):
+            l = min(k + _CHUNK_ROWS, r)
+            mirror = spare[:(l - k) * l].reshape(l - k, l)
+            mirror[...] = square[:l, k:l].T
+            np.copyto(square[k:l, :l], mirror, where=lower[k:l, :l])
+        # The square's diagonal, as a strided view of the contiguous panel.
+        panel.reshape(-1)[::m + 1][:r] *= np.sqrt(2.0)
+        _add_spike(panel, scaled[i:j], x[i:], spare)
         T[i:j, i:] = panel
         T[i:, i:j] = panel.T
 
-    T = _fill_blocks(n, n, rng, fill)
+    T = _fill_blocks(n, n, rng, fill, _BLOCK_ROWS + _CHUNK_ROWS)
     return GaussianSurrogate(T=T, lam=float(lam))
 
 

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvamp
 from mvamp import amp, experiments
+from mvamp.exceptions import ConvergenceError
 from mvamp.experiments import (ExperimentConfig, empirical_mse, empirical_overlap,
                                run_replicate, run_sweep, se_consistency_check)
 from mvamp.state_evolution import limit_mmse
@@ -158,6 +164,22 @@ class TestRunSweep:
             assert x.mean_mse == y.mean_mse
             assert x.sd_mse == y.sd_mse
 
+    def test_openblas_thread_count_does_not_change_results(self):
+        # products of this size are split between OpenBLAS threads when it
+        # has two, which moves the mean MSE in its last bits unless the
+        # sweep holds OpenBLAS at one thread
+        src = str(Path(mvamp.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from mvamp import "
+                "ExperimentConfig, run_sweep; print([(a.mean_mse.hex(), a.mean_overlap.hex()) "
+                "for a in run_sweep(ExperimentConfig(family='gaussian', n=1000, p=600, "
+                "sweep_param='lambda', grid=(1.5, 3.0), fixed_value=0.9, replicates=1, "
+                "n_iter=25, seed=13))])")
+        outs = [subprocess.run([sys.executable, "-c", code, src], check=True,
+                               capture_output=True, text=True,
+                               env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+                for threads in ("1", "2")]
+        assert outs[0] and outs[0] == outs[1]
+
     def test_steps_are_summarized_per_point(self):
         cfg = small_cfg(n=600, p=360, grid=(0.5, 2.5), replicates=2, n_iter=100)
         below, above = run_sweep(cfg)
@@ -187,6 +209,57 @@ class TestRunSweep:
         assert np.isfinite(edge.mean_mse)
         assert strong.errors == []
         assert strong.theory_mmse == limit_mmse(3.0, 0.9, cfg.c)
+
+
+class TestBlasPin:
+    """run_sweep holds every OpenBLAS at one thread while its replicates run
+    and puts the previous counts back however it ends."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch, blas_threads):
+        """The thread counts each replicate ran with."""
+        counts = []
+        real = experiments.run_replicate
+
+        def spy(cfg, i, r):
+            counts.append(blas_threads())
+            return real(cfg, i, r)
+
+        monkeypatch.setattr(experiments, "run_replicate", spy)
+        return counts
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_thread_while_replicates_run(self, seen, blas_threads, threads):
+        before = blas_threads()
+        run_sweep(small_cfg(n=150, p=90, n_iter=10, threads=threads))
+        assert set(before) == {2}
+        assert len(seen) == 2 and all(set(counts) == {1} for counts in seen)
+        assert blas_threads() == before
+
+    def test_counts_restored_after_a_recorded_error(self, monkeypatch, blas_threads):
+        before = blas_threads()
+        assert set(before) == {2}
+
+        def fail(cfg, i, r):
+            raise ConvergenceError("no convergence", iterations=1)
+
+        monkeypatch.setattr(experiments, "run_replicate", fail)
+        agg = run_sweep(small_cfg())[0]
+        assert len(agg.errors) == 2
+        assert blas_threads() == before
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_counts_restored_when_an_error_escapes(self, monkeypatch, blas_threads, threads):
+        before = blas_threads()
+        assert set(before) == {2}
+
+        def fail(cfg, i, r):
+            raise RuntimeError("not an mvamp error")
+
+        monkeypatch.setattr(experiments, "run_replicate", fail)
+        with pytest.raises(RuntimeError):
+            run_sweep(small_cfg(threads=threads))
+        assert blas_threads() == before
 
 
 class TestConfigValidation:

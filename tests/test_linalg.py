@@ -1,4 +1,8 @@
+import os
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from mvamp.amp import solve_a0
 from mvamp.linalg import (ComposedSpectralOperator, DenseSymmetricOperator,
                           RectOperator, SparseCenteredOperator, WeightedSumOperator,
                           compose_spectral_operator, leading_eigenpair)
+from mvamp.linalg import _openblas_thread_calls, _single_threaded_blas
 from mvamp.model import (center_scale_layer, rates_from_lambda, sample_covariates,
                          sample_gaussian_surrogate, sample_labels, sample_sbm_layer,
                          substream)
@@ -243,3 +248,60 @@ class TestSparseCenteredOperator:
         from scipy import sparse
         with pytest.raises(ValueError):
             SparseCenteredOperator(sparse.csr_array(np.zeros((4, 4))), 0.0)
+
+
+class TestSingleThreadedBlas:
+    def test_covers_every_loaded_openblas(self):
+        # scipy's OpenBLAS is loaded by the spectral start's ARPACK import;
+        # a pin that found no library would silently leave BLAS threaded
+        import scipy.sparse.linalg  # noqa: F401
+
+        found = {os.path.realpath(path) for path, _, _ in _openblas_thread_calls()}
+        mapped = {os.path.realpath(line.split()[-1])
+                  for line in Path("/proc/self/maps").read_text().splitlines()
+                  if "openblas" in line.rsplit("/", 1)[-1]}
+        assert mapped and mapped <= found
+
+    def test_one_thread_inside_and_counts_restored(self, blas_threads):
+        before = blas_threads()
+        assert set(before) == {2}
+        with _single_threaded_blas():
+            assert set(blas_threads()) == {1}
+            with _single_threaded_blas():
+                assert set(blas_threads()) == {1}
+            assert set(blas_threads()) == {1}
+        assert blas_threads() == before
+
+    def test_counts_restored_when_the_body_raises(self, blas_threads):
+        before = blas_threads()
+        assert set(before) == {2}
+        with pytest.raises(RuntimeError):
+            with _single_threaded_blas():
+                raise RuntimeError("boom")
+        assert blas_threads() == before
+
+    def test_concurrent_entries_share_one_pin(self, blas_threads):
+        # more threads than cores, switching often: a lost update of the
+        # shared depth would restore the counts under a running body or
+        # leave them at one
+        before = blas_threads()
+        inside = []
+
+        def enter():
+            for _ in range(50):
+                with _single_threaded_blas():
+                    inside.append(blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert len(inside) == 200 and all(set(counts) == {1} for counts in inside)
+        assert blas_threads() == before

@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -355,6 +357,27 @@ class TestGaussianSurrogate:
         diag = np.diag(surr.T)
         assert abs(off.var() - 1.0) < 4.0 * np.sqrt(2.0 / off.size)
         assert abs(diag.var() - 2.0) < 4.0 * 2.0 * np.sqrt(2.0 / diag.size)
+
+
+def test_samplers_on_concurrent_threads_give_the_same_bytes():
+    # run_sweep's --threads workers call the samplers side by side, and each
+    # call fills its row blocks on two threads; 700 and 1001 rows end in
+    # partial blocks
+    lab = sample_labels(700, substream(14, 0))
+    draws = [lambda: sample_covariates(lab, 0.9, 1001, substream(14, 1)).B,
+             lambda: sample_gaussian_surrogate(lab, 2.5, substream(14, 2)).T]
+    alone = [draw().tobytes() for draw in draws]
+    # switching often makes a block lost or filled twice by the shared
+    # queue of blocks more likely to show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(3):
+                together = [pool.submit(draw) for draw in draws]
+                assert [f.result(timeout=60).tobytes() for f in together] == alone
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestRevelation:
