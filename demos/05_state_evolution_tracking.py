@@ -7,13 +7,13 @@ the prediction and their gap; at n = 3000 the two agree to a few in the
 third decimal.
 """
 
-from mvamp import se_consistency_check
+from mvamp.experiments import run_se_check, se_check_config
 
 lam, mu, c, eps = 2.0, 1.0, 1.0, 0.1
 print(f"lam={lam}, mu={mu}, c={c}, revelation fraction eps={eps}\n")
 
-report = se_consistency_check(lam=lam, mu=mu, c=c, eps=eps, n=3000, t_max=10,
-                              replicates=5, seed=31)
+report = run_se_check(se_check_config(lam=lam, mu=mu, c=c, eps=eps, n=3000, t_max=10,
+                                      replicates=5, seed=31))
 
 print(f"{'t':>3} {'predicted z_t':>14} {'empirical':>12} {'gap':>10}")
 for t, zt, ov, gap in zip(report.t, report.z_theory, report.mean_overlap,

@@ -10,7 +10,7 @@ from .amp import (AmpRun, AmpState, DenoiserParams, amp_step, denoise_f, denoise
 from .exceptions import ConvergenceError, DivergenceError, InfeasibleSnrError, MvampError
 from .experiments import (AggregateResult, ExperimentConfig, ReplicateInstance,
                           ReplicateResult, SeCheckReport, draw_instance, empirical_mse,
-                          empirical_overlap, run_replicate, run_sweep, se_consistency_check)
+                          empirical_overlap, run_replicate, run_sweep)
 from .linalg import (ComposedSpectralOperator, DenseSymmetricOperator, RectOperator,
                      SparseCenteredOperator, SymmetricOperator, WeightedSumOperator,
                      compose_spectral_operator, leading_eigenpair)

@@ -61,7 +61,6 @@ __all__ = [
     "run_sweep",
     "se_check_config",
     "run_se_check",
-    "se_consistency_check",
 ]
 
 FAMILIES = ("gaussian", "contextual-sbm", "multilayer")
@@ -276,8 +275,14 @@ def draw_instance(cfg: ExperimentConfig, point_index: int,
     return ReplicateInstance(labels=labels, covariates=cov, network=network, masks=masks)
 
 
+@_single_threaded_blas()
 def run_replicate(cfg: ExperimentConfig, point_index: int, rep_index: int) -> ReplicateResult:
-    """Sample one instance, run the estimator, and score it."""
+    """Sample one instance, run the estimator, and score it.
+
+    OpenBLAS runs on one thread for the whole replicate, called alone or
+    from a sweep, so the products round the same way either way (the
+    surrogate's ``ssymv`` splits its sums by the thread count).
+    """
     t_start = time.perf_counter()
     lam, mu = cfg.point(cfg.grid[point_index])
     inst = draw_instance(cfg, point_index, rep_index)
@@ -421,8 +426,11 @@ def se_check_config(lam: float, mu: float, c: float, eps: float, n: int,
 
 
 def run_se_check(cfg: ExperimentConfig) -> SeCheckReport:
-    """Run the replicates of a :func:`se_check_config` configuration and
-    average their overlap trajectories step by step."""
+    """Track the zero-initialized, eps-revealed run against state evolution:
+    run the replicates of a :func:`se_check_config` configuration and
+    average their overlap trajectories step by step.  The recursion counts
+    the revealed spike coordinates as the algorithm does (see the state
+    evolution module docstring)."""
     lam, mu = cfg.point(cfg.grid[0])
     # The theory runs at the realized ratio n / p.
     traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=cfg.eps, init_mode="zero",
@@ -433,19 +441,3 @@ def run_se_check(cfg: ExperimentConfig) -> SeCheckReport:
     mean_overlap = np.mean(np.stack(trajs), axis=0)[1: t_max + 1]
     return SeCheckReport(t=np.arange(1, t_max + 1), z_theory=traj.z[1: t_max + 1],
                          mean_overlap=mean_overlap)
-
-
-def se_consistency_check(lam: float, mu: float, c: float, eps: float, n: int,
-                         t_max: int, replicates: int, seed: int = 0,
-                         threads: int = 1) -> SeCheckReport:
-    """Track the zero-initialized, eps-revealed run against state evolution.
-
-    Uses the dense symmetric family; the recursion counts the revealed
-    spike coordinates as the algorithm does (see the state evolution module
-    docstring).  Every replicate runs all t_max steps
-    (``stop_tol=0``): state evolution predicts each step, and the
-    trajectories are averaged step by step.  The same as
-    ``run_se_check(se_check_config(...))``.
-    """
-    return run_se_check(se_check_config(lam=lam, mu=mu, c=c, eps=eps, n=n, t_max=t_max,
-                                        replicates=replicates, seed=seed, threads=threads))

@@ -9,16 +9,29 @@ A dense product runs in its matrix's dtype (float32 for the sampled
 covariates and surrogate, see :mod:`mvamp.model`) and returns float64, so
 the vectors the estimator iterates stay float64.
 
+On one BLAS thread every dense product is bound by memory bandwidth, so
+each reads its matrix no more than the math needs:
+
+* the surrogate product of a float32 matrix runs BLAS ``ssymv`` on its
+  upper triangle, half the bytes of a full ``gemv``
+  (:class:`DenseSymmetricOperator`);
+* the Gram map B^T B v / p of the spectral start reads B once, block by
+  block, not once for B v and again for B^T (B v)
+  (:meth:`RectOperator.gram`).
+
+Both change only round-off.  AMP's own products B q and B^T m are
+separate products and stay two passes over B.
+
 The spectral start needs the algebraically largest eigenpair of the
 composed operator, which may have a negative eigenvalue of larger
 magnitude.  :func:`leading_eigenpair` finds it with implicitly restarted
 Lanczos (scipy's ``eigsh`` on ARPACK), driven only through the operator's
 matvec.  scipy.sparse.linalg is imported inside that function, not here,
-and scipy.sparse is needed only as an annotation: callers that never take
-a spectral start (the theory functions, ``mvamp theory``) load no scipy
-module at all.
+scipy.linalg.blas by the operator that calls ``ssymv``, and scipy.sparse
+is needed only as an annotation: callers that build no operator (the
+theory functions, ``mvamp theory``) load no scipy module at all.
 
-While a sweep's replicates run, mvamp owns the cores:
+While a replicate runs, alone or in a sweep, mvamp owns the cores:
 ``experiments`` holds every OpenBLAS that numpy and scipy ship at one
 thread (:func:`_single_threaded_blas`) and draws each instance's row blocks
 on two threads of its own (:mod:`mvamp.model`).  OpenBLAS's second thread
@@ -68,6 +81,11 @@ def _product(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     return prod.astype(np.float64, copy=False)
 
 
+# Rows of B per block of the fused Gram map: a 128-row block of a float32 B
+# with a few thousand columns stays in L2 between its two products.
+_GRAM_ROWS = 128
+
+
 class SymmetricOperator:
     """Base for symmetric n x n linear maps; subclasses define matvec."""
 
@@ -79,7 +97,25 @@ class SymmetricOperator:
 
 class DenseSymmetricOperator(SymmetricOperator):
     """v -> (M v) / denom for a dense symmetric M; the product runs in M's
-    dtype and returns float64."""
+    dtype and returns float64, and the division runs in float64.
+
+    A C-ordered float32 M (the sampled surrogate) is multiplied by scipy's
+    BLAS ``ssymv`` on the F-ordered view ``M.T`` with ``lower=1``: it reads
+    M's upper triangle only, n(n + 1)/2 entries instead of n², and never
+    its strict lower triangle.  On a sampled surrogate at n = 2000, whose
+    product entries are about 36 in magnitude, its largest error against a
+    float64 product was 1.7e-4, against 6e-5 for a full float32 ``gemv``:
+    float32 round-off either way.  ssymv splits its sums, and so its
+    rounding, by the OpenBLAS thread count, which
+    :func:`_single_threaded_blas` holds at one while a replicate runs.
+
+    Every other matrix keeps the plain product, which reads all of M.  A
+    float64 M is kept off ``dsymv`` on purpose: ``symv`` reads any matrix
+    as if it were symmetric, so :func:`leading_eigenpair`'s residual check
+    after the solve could no longer catch an asymmetric one, and a float64
+    product stays the plain ``M @ v`` that float32 products are checked
+    against.
+    """
 
     def __init__(self, matrix: np.ndarray, denom: float = 1.0):
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -87,11 +123,26 @@ class DenseSymmetricOperator(SymmetricOperator):
         self.matrix = matrix
         self.denom = float(denom)
         self.n = matrix.shape[0]
+        self._ssymv = None
+        # Only a C-ordered M has an F-ordered M.T that ssymv reads in
+        # place; scipy would copy any other layout on every product.
+        if matrix.dtype == np.float32 and matrix.flags.c_contiguous:
+            # Imported here, not at module level: `import mvamp` loads no
+            # scipy module.
+            from scipy.linalg.blas import ssymv
+            self._ssymv = ssymv
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        if self._ssymv is None:
+            prod = _product(self.matrix, v)
+        else:
+            if v.shape != (self.n,):
+                raise ValueError(f"expected a length-{self.n} vector, got {v.shape}")
+            prod = self._ssymv(1.0, self.matrix.T, v.astype(np.float32), lower=1)
+            prod = prod.astype(np.float64)
         if self.denom == 1.0:
-            return _product(self.matrix, v)
-        return _product(self.matrix, v) / self.denom
+            return prod
+        return prod / self.denom
 
 
 class SparseCenteredOperator(SymmetricOperator):
@@ -135,9 +186,9 @@ class WeightedSumOperator(SymmetricOperator):
 
 
 class RectOperator:
-    """The rectangular covariate map: apply is v -> B v / sqrt(p) (n -> p)
-    and apply_t is w -> B^T w / sqrt(p) (p -> n).  Both products run in B's
-    dtype and return float64."""
+    """The rectangular covariate map: apply is v -> B v / sqrt(p) (n -> p),
+    apply_t is w -> B^T w / sqrt(p) (p -> n) and gram is v -> B^T B v / p
+    (n -> n).  Every product runs in B's dtype and returns float64."""
 
     def __init__(self, B: np.ndarray):
         if B.ndim != 2:
@@ -156,12 +207,32 @@ class RectOperator:
             raise ValueError(f"expected a length-{self.p} vector, got {w.shape}")
         return _product(self.B.T, w) / self.sqrt_p
 
+    def gram(self, v: np.ndarray) -> np.ndarray:
+        """B^T B v / p in one pass over B.
+
+        The sum of B_k^T (B_k v) over blocks B_k of ``_GRAM_ROWS`` rows
+        reads each block once, while it sits in cache; ``apply_t(apply(v))``
+        reads all of B twice.  The sum accumulates in B's dtype and is
+        divided by p in float64.  For a float32 B its relative error
+        against a float64 product is about 2e-7.
+        """
+        if v.shape != (self.n,):
+            raise ValueError(f"expected a length-{self.n} vector, got {v.shape}")
+        x = v.astype(np.result_type(self.B.dtype, np.float32), copy=False)
+        out = np.zeros(self.n, dtype=x.dtype)
+        for start in range(0, self.p, _GRAM_ROWS):
+            block = self.B[start:start + _GRAM_ROWS]
+            out += block.T @ (block @ x)
+        return out.astype(np.float64, copy=False) / self.p
+
 
 class ComposedSpectralOperator(SymmetricOperator):
-    """v -> T_op(v) + a0 * B_op.apply_t(B_op.apply(v)).
+    """v -> T_op(v) + a0 * B_op.gram(v).
 
     The second term is the Gram map B^T B v / p; with T_op absent the
-    operator is the pure Gram map (covariate-only initialization).
+    operator is the pure Gram map (covariate-only initialization).  One
+    matvec reads B once (:meth:`RectOperator.gram`) and, for the float32
+    surrogate, the upper triangle of T (:class:`DenseSymmetricOperator`).
     """
 
     def __init__(self, t_op: SymmetricOperator | None, b_op: RectOperator | None,
@@ -177,10 +248,10 @@ class ComposedSpectralOperator(SymmetricOperator):
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self.t_op is None:
-            return self.a0 * self.b_op.apply_t(self.b_op.apply(v))
+            return self.a0 * self.b_op.gram(v)
         out = self.t_op.matvec(v)
         if self.b_op is not None and self.a0 != 0.0:
-            out = out + self.a0 * self.b_op.apply_t(self.b_op.apply(v))
+            out = out + self.a0 * self.b_op.gram(v)
         return out
 
 

@@ -13,8 +13,8 @@ import pytest
 from mvamp.amp import denoise_f, DenoiserParams, onsager_coeffs, solve_a0, _a0_rhs
 from mvamp.amp import denoise_g
 from mvamp.cli import main as cli_main
-from mvamp.experiments import (ExperimentConfig, empirical_mse, run_sweep,
-                               se_consistency_check)
+from mvamp.experiments import (ExperimentConfig, empirical_mse, run_se_check, run_sweep,
+                               se_check_config)
 from mvamp.model import (center_scale_layer, rates_from_lambda, sample_labels,
                          sample_revelation, sample_sbm_layer, substream)
 from mvamp.scalar_channel import scalar_mi, scalar_mmse
@@ -137,8 +137,8 @@ def test_criterion_07_subthreshold_null():
 
 def test_criterion_08_state_evolution_tracking():
     t0 = time.perf_counter()
-    rep = se_consistency_check(lam=2.0, mu=1.0, c=1.0, eps=0.1, n=4000,
-                               t_max=10, replicates=10, seed=42)
+    rep = run_se_check(se_check_config(lam=2.0, mu=1.0, c=1.0, eps=0.1, n=4000,
+                                       t_max=10, replicates=10, seed=42))
     worst = float(rep.abs_gap.max())
     ok = worst < 0.05
     report(8, ok, f"zero-init revelation run vs predicted z_t, max gap over "

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.blas import ssymv
 
 from mvamp.amp import (AmpState, DenoiserParams, amp_step, denoise_f, denoise_g,
                        init_spectral, init_zero, onsager_coeffs, run_amp, solve_a0,
@@ -164,7 +165,8 @@ class TestAmpStep:
         """Two steps must agree bit for bit with a straight-line rewrite of
         the update equations on dense arrays, with no operator layer.  The
         stored matrices are float32: each product casts its vector to
-        float32 and its result back to float64."""
+        float32 and its result back to float64, and the symmetric product
+        reads the upper triangle of T by BLAS ssymv."""
         n, p = 8, 5
         lab, surr, cov, masks, sym_op, b_op, traj = small_instance(n, p)
         state = init_zero(masks, traj, p)
@@ -187,7 +189,8 @@ class TestAmpStep:
             m = np.where(mask_v, v0, g * v)
             c_t = np.sum(np.where(mask_v, 0.0, g)) / p
             u_next = (B.T @ m.astype(f32)).astype(f64) / sqrt_p - c_t * q
-            x_next = (T @ q.astype(f32)).astype(f64) / sqrt_n - d_t * q_prev
+            x_next = (ssymv(1.0, T.T, q.astype(f32), lower=1).astype(f64) / sqrt_n
+                      - d_t * q_prev)
             q_next = np.where(mask_x, x0,
                               np.tanh(traj.a[t + 1] * u_next + traj.b[t + 1] * x_next))
             q_prev, m_prev, u, x, q = q, m, u_next, x_next, q_next

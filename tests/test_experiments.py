@@ -11,7 +11,7 @@ import mvamp
 from mvamp import amp, experiments
 from mvamp.exceptions import ConvergenceError
 from mvamp.experiments import (ExperimentConfig, empirical_mse, empirical_overlap,
-                               run_replicate, run_sweep, se_consistency_check)
+                               run_replicate, run_se_check, run_sweep, se_check_config)
 from mvamp.state_evolution import limit_mmse
 
 from oracles import dense_matrix_mse
@@ -213,7 +213,8 @@ class TestRunSweep:
 
 class TestBlasPin:
     """run_sweep holds every OpenBLAS at one thread while its replicates run
-    and puts the previous counts back however it ends."""
+    and puts the previous counts back however it ends; run_replicate holds
+    it when called alone."""
 
     @pytest.fixture
     def seen(self, monkeypatch, blas_threads):
@@ -235,6 +236,14 @@ class TestBlasPin:
         assert set(before) == {2}
         assert len(seen) == 2 and all(set(counts) == {1} for counts in seen)
         assert blas_threads() == before
+
+    def test_replicate_called_alone_equals_the_sweep_value(self, blas_threads):
+        # the surrogate's ssymv splits its sums between OpenBLAS threads, so
+        # a replicate run outside the sweep's pin would round differently
+        cfg = small_cfg(replicates=1)
+        rep = run_replicate(cfg, 0, 0)
+        assert set(blas_threads()) == {2}
+        assert run_sweep(cfg)[0].mean_mse == rep.empirical_mse
 
     def test_counts_restored_after_a_recorded_error(self, monkeypatch, blas_threads):
         before = blas_threads()
@@ -342,22 +351,22 @@ class TestConfigValidation:
 
 class TestSeConsistency:
     def test_full_revelation_is_exact(self):
-        rep = se_consistency_check(lam=1.0, mu=1.0, c=1.0, eps=1.0, n=150,
-                                   t_max=4, replicates=2, seed=5)
+        rep = run_se_check(se_check_config(lam=1.0, mu=1.0, c=1.0, eps=1.0, n=150,
+                                           t_max=4, replicates=2, seed=5))
         assert np.all(rep.abs_gap < 1e-12)
         # the labels never change, yet every step is tracked
         assert len(rep.mean_overlap) == len(rep.z_theory) == 4
 
     def test_no_signal_stays_at_revelation_level(self):
-        rep = se_consistency_check(lam=0.0, mu=0.0, c=1.0, eps=0.1, n=2000,
-                                   t_max=6, replicates=4, seed=6)
+        rep = run_se_check(se_check_config(lam=0.0, mu=0.0, c=1.0, eps=0.1, n=2000,
+                                           t_max=6, replicates=4, seed=6))
         np.testing.assert_allclose(rep.z_theory, 0.1, atol=1e-12)
         assert np.max(rep.abs_gap) < 0.05
 
     def test_requires_revelation(self):
         with pytest.raises(ValueError):
-            se_consistency_check(lam=1.0, mu=1.0, c=1.0, eps=0.0, n=100,
-                                 t_max=3, replicates=1)
+            run_se_check(se_check_config(lam=1.0, mu=1.0, c=1.0, eps=0.0, n=100,
+                                         t_max=3, replicates=1))
 
 
 def test_thin_layer_warns_about_average_degree():

@@ -195,6 +195,23 @@ class TestComposeSpectralOperator:
         v = rng.standard_normal(14)
         np.testing.assert_allclose(op.matvec(v), (b.T @ b) @ v / 8, atol=1e-12)
 
+    @pytest.mark.parametrize("p", [1, 127, 128, 129, 300])
+    def test_fused_gram_matches_the_two_products(self, p):
+        # one partial block, one full block, a full block and one row more,
+        # and several blocks; float32 storage as sampled
+        n, a0 = 200, 0.6
+        rng = np.random.default_rng(17)
+        b_op = RectOperator(rng.standard_normal((p, n)).astype(np.float32))
+        t_op = DenseSymmetricOperator(random_symmetric(n, 18).astype(np.float32),
+                                      denom=np.sqrt(n))
+        v = rng.standard_normal(n)
+        for sym in (t_op, None):
+            expected = a0 * b_op.apply_t(b_op.apply(v))
+            if sym is not None:
+                expected = expected + sym.matvec(v)
+            out = ComposedSpectralOperator(sym, b_op, a0).matvec(v)
+            assert np.linalg.norm(out - expected) <= 1e-6 * np.linalg.norm(expected)
+
     def test_dimension_mismatch(self):
         t_op = DenseSymmetricOperator(np.eye(5))
         b_op = RectOperator(np.zeros((3, 7)))
@@ -227,8 +244,10 @@ class TestDenseProducts:
     def test_float32_storage_is_read_as_stored(self):
         B, T, v, w = self.operands()
         B32, T32 = B.astype(np.float32), T.astype(np.float32)
-        exact = self.products(B32.astype(np.float64), T32.astype(np.float64))
-        for (matrix, fn), (_, ref), x in zip(self.products(B32, T32), exact, (v, w, v)):
+        B64, T64 = B32.astype(np.float64), T32.astype(np.float64)
+        exact = self.products(B64, T64) + [(B64, RectOperator(B64).gram)]
+        products = self.products(B32, T32) + [(B32, RectOperator(B32).gram)]
+        for (matrix, fn), (_, ref), x in zip(products, exact, (v, w, v, v)):
             tracemalloc.start()
             try:
                 out = fn(x)
@@ -241,6 +260,17 @@ class TestDenseProducts:
             # float32 round-off of the vector and of the sums, far below 1e-5
             expected = ref(x)
             assert np.linalg.norm(out - expected) <= 1e-5 * np.linalg.norm(expected)
+
+    def test_float32_surrogate_reads_only_its_upper_triangle(self):
+        _, T, v, _ = self.operands()
+        n = T.shape[0]
+        clean = T.astype(np.float32)
+        poisoned = clean.copy()
+        poisoned[np.tril_indices(n, -1)] = np.nan
+        out = DenseSymmetricOperator(poisoned, denom=np.sqrt(n)).matvec(v)
+        ref = DenseSymmetricOperator(clean, denom=np.sqrt(n)).matvec(v)
+        assert np.isfinite(out).all()
+        assert out.tobytes() == ref.tobytes()
 
 
 class TestSparseCenteredOperator:
