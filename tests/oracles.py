@@ -96,6 +96,27 @@ def dense_matrix_mse(x_hat: np.ndarray, x_star: np.ndarray) -> float:
     return float(np.sum(diff ** 2) / n ** 2)
 
 
+def box_muller_block(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """One rows x cols block of float32 noise as the samplers draw it, in
+    one pass over whole arrays.
+
+    rows * cols float32 uniforms u in row-major order; with h half their
+    number (rounded down), entries k and k + h of the block are
+    sqrt(-2 ln(1 - u_k)) times cos and sin of 2 pi u_(k+h).  An odd block's
+    last entry is the cosine of its own radius and one more uniform.
+    """
+    f32 = np.float32
+    size = rows * cols
+    h = size // 2
+    u = rng.random(size, dtype=f32)
+    radius_u = np.concatenate([u[:h], u[2 * h:]])
+    angle_u = np.concatenate([u[h:2 * h], rng.random(size % 2, dtype=f32)])
+    r = np.sqrt(f32(-2.0) * np.log(f32(1.0) - radius_u))
+    theta = f32(2.0 * np.pi) * angle_u
+    cos, sin = r * np.cos(theta), r * np.sin(theta)
+    return np.concatenate([cos[:h], sin[:h], cos[h:]]).reshape(rows, cols)
+
+
 def trapezoid_adaptive(f, a: float, b: float, panels: int = 200,
                        tol: float = 2e-5, max_doublings: int = 6) -> float:
     """Composite trapezoid starting at ``panels`` panels, doubling the

@@ -398,9 +398,12 @@ def test_revelation_sweep_tracks_its_theory_column(eps):
 
 
 def test_mse_overlap_relation_at_scale():
-    # 1 - mse stays below the squared signed overlap up to finite-size slack
-    cfg = small_cfg(n=1500, p=900, grid=(2.5,), replicates=2, n_iter=60)
-    for rep in range(2):
+    # Nishimori: at the fixed point |<q, x*>| ~ <q, q>, so 1 - mse ~ ov^2.
+    # One replicate's gap (1 - mse) - ov^2 has sd about 0.015 here, so the
+    # relation is held on the mean of 16 (standard error about 0.004)
+    cfg = small_cfg(n=1500, p=900, grid=(2.5,), replicates=16, n_iter=60)
+    gaps = []
+    for rep in range(16):
         r = run_replicate(cfg, 0, rep)
-        ov2 = r.overlap_trajectory[-1] ** 2
-        assert 1.0 - r.empirical_mse <= ov2 + 0.02
+        gaps.append(1.0 - r.empirical_mse - r.overlap_trajectory[-1] ** 2)
+    assert abs(np.mean(gaps)) <= 0.015

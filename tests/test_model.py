@@ -11,7 +11,10 @@ from mvamp.model import (CommunityLabels, LayerParams, center_scale_layer, combi
                          lambda_from_rates, rates_from_lambda, sample_covariates,
                          sample_gaussian_surrogate, sample_labels, sample_revelation,
                          sample_sbm_layer, substream, write_edge_list)
-from mvamp.model import _unrank_within
+from mvamp import model
+from mvamp.model import _normal_fill, _unrank_within
+
+from oracles import box_muller_block
 
 
 class TestLabels:
@@ -242,12 +245,12 @@ class TestCovariates:
 
     def test_matches_outer_product_formula(self):
         # v* comes from the stream itself and noise block b from its child b,
-        # which is substream(9, 5, b), drawn float32; p = 600 spans a partial
-        # last block
-        n, p = 37, 600
+        # which is substream(9, 5, b), by the float32 Box-Muller transform;
+        # p = 601 ends in a partial last block of odd size (89 x 37)
+        n, p = 37, 601
         lab = sample_labels(n, substream(9, 4))
-        noise = np.concatenate([substream(9, 5, b).standard_normal((rows, n), dtype=np.float32)
-                                for b, rows in enumerate((256, 256, 88))])
+        noise = np.concatenate([box_muller_block(substream(9, 5, b), rows, n)
+                                for b, rows in enumerate((256, 256, 89))])
         v_star = substream(9, 5).standard_normal(p)
         for mu in (0.0, 0.5, 0.9, 3.0):
             cov = sample_covariates(lab, mu, p, substream(9, 5))
@@ -258,8 +261,9 @@ class TestCovariates:
             assert cov.B.tobytes() == (noise + spike).tobytes()
 
     def test_peak_memory_is_the_stored_matrix_plus_row_blocks(self):
-        # float32 storage plus two float64 row blocks, the noise and its
-        # spike; a float64 matrix or copy would add 8 p n bytes
+        # float32 storage plus one float32 scratch of 32 rows per fill
+        # thread (two of them); a float64 row block, or a temporary of the
+        # transform, would add at least 4 * 256 * n bytes
         p, n = 3000, 2000
         lab = sample_labels(n, substream(9, 6))
         tracemalloc.start()
@@ -269,7 +273,7 @@ class TestCovariates:
         finally:
             tracemalloc.stop()
         assert cov.B.nbytes == 4 * p * n
-        assert peak <= 4 * p * n + 2.5 * (8 * 256 * n)
+        assert peak <= 4 * p * n + 4 * (4 * 32 * n)
 
     def test_aspect_ratio(self):
         lab = sample_labels(60, substream(9, 2))
@@ -300,16 +304,16 @@ class TestGaussianSurrogate:
 
     def test_matches_full_matrix_formula(self):
         # block b of rows i:j draws rows i:j, columns i:n from substream(12,
-        # 3, n, b) in float32; T keeps the strict upper triangle of those
-        # panels, mirrored, and sqrt(2) times their diagonal; every n here
-        # ends in a partial block
+        # 3, n, b) by the float32 Box-Muller transform; T keeps the strict
+        # upper triangle of those panels, mirrored, and sqrt(2) times their
+        # diagonal; every n here ends in a partial block, of odd size
+        # (233 x 233) at n = 1001
         for n in (300, 1001, 1500):
             lab = sample_labels(n, substream(12, 2, n))
             U = np.zeros((n, n), dtype=np.float32)
             for b, i in enumerate(range(0, n, 256)):
                 j = min(i + 256, n)
-                U[i:j, i:] = substream(12, 3, n, b).standard_normal((j - i, n - i),
-                                                                    dtype=np.float32)
+                U[i:j, i:] = box_muller_block(substream(12, 3, n, b), j - i, n - i)
             Z = np.triu(U, 1) + np.triu(U, 1).T
             np.fill_diagonal(Z, (np.diag(U) * np.sqrt(2.0)).astype(np.float32))
             x = lab.x_star.astype(np.float32)
@@ -319,24 +323,12 @@ class TestGaussianSurrogate:
                 assert surr.T.dtype == np.float32
                 assert surr.T.tobytes() == T.tobytes()
 
-    def test_peak_memory_is_the_noise_draw_plus_float32_storage(self):
-        # the float64 n x n draw, the float32 result and two row blocks
-        n = 1500
-        lab = sample_labels(n, substream(12, 4))
-        tracemalloc.start()
-        try:
-            surr = sample_gaussian_surrogate(lab, 2.5, substream(12, 5))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert surr.T.nbytes == 4 * n * n
-        assert peak <= 12 * n * n + 2.5 * (8 * 256 * n)
-
     def test_peak_memory_is_the_float32_storage_plus_a_few_panels(self):
-        # the float32 result (4 n^2), one float32 upper panel and its float32
-        # spike (a 256 x n float32 panel each), and the lower-triangle
-        # indices of the panel's diagonal square (two int64 vectors of
-        # 256 * 255 / 2 entries, a third of a panel at this n)
+        # the float32 result (4 n^2) and one float32 scratch per fill thread
+        # (two of them), each an upper panel plus 32 rows (1.125 panels of
+        # 256 x n float32), and the boolean lower-triangle mask of a panel's
+        # diagonal square (256^2 bytes, about 4% of a panel at this n); a
+        # float64 n x n draw would add 8 n^2
         n = 1500
         panel = 4 * 256 * n
         lab = sample_labels(n, substream(12, 6))
@@ -378,6 +370,104 @@ def test_samplers_on_concurrent_threads_give_the_same_bytes():
                 assert [f.result(timeout=60).tobytes() for f in together] == alone
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_blocks_do_not_depend_on_the_fill_thread_count(monkeypatch):
+    # 700 and 1001 rows end in partial blocks (188 and 233 rows)
+    lab = sample_labels(700, substream(30, 0))
+    draws = [lambda: sample_covariates(lab, 0.9, 1001, substream(30, 1)).B,
+             lambda: sample_gaussian_surrogate(lab, 2.5, substream(30, 2)).T]
+    default = [draw().tobytes() for draw in draws]
+    monkeypatch.setattr(model, "_FILL_THREADS", 1)
+    assert [draw().tobytes() for draw in draws] == default
+
+
+# Largest |z| the transform reaches: the radius at the float32 uniform
+# 1 - 2^-24.  A standard normal exceeds it with probability about 7.9e-9.
+_TAIL = np.sqrt(-2.0 * np.log(2.0 ** -24))
+
+
+class _FixedUniforms:
+    """Stands in for a generator: random(out=...) writes the given values."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self, out, dtype):
+        assert dtype == np.float32
+        out[...] = [next(self.values) for _ in range(out.size)]
+
+
+class TestNormalFill:
+    @pytest.fixture(scope="class")
+    def noise(self):
+        # an unspiked 1001 x 1001 covariate matrix: 1,002,001 draws in three
+        # full blocks and an odd-sized last one (233 x 1001)
+        lab = sample_labels(1001, substream(31, 0))
+        return sample_covariates(lab, 0.0, 1001, substream(31, 1)).B
+
+    def test_moments(self, noise):
+        z = noise.ravel().astype(np.float64)
+        m = z.size
+        assert m >= 10 ** 6
+        c = z - z.mean()
+        var = np.mean(c ** 2)
+        skew = np.mean(c ** 3) / var ** 1.5
+        kurt = np.mean(c ** 4) / var ** 2 - 3.0
+        assert abs(z.mean()) < 4.0 / np.sqrt(m)
+        assert abs(var - 1.0) < 4.0 * np.sqrt(2.0 / m)
+        assert abs(skew) < 4.0 * np.sqrt(6.0 / m)
+        assert abs(kurt) < 4.0 * np.sqrt(24.0 / m)
+
+    def test_kolmogorov_smirnov_distance(self, noise):
+        from scipy.special import ndtr
+
+        z = np.sort(noise.ravel().astype(np.float64))
+        m = z.size
+        cdf = ndtr(z)
+        d = max(np.max(np.arange(1, m + 1) / m - cdf), np.max(cdf - np.arange(m) / m))
+        # asymptotic critical value at level 1e-3: sqrt(ln(2 / 1e-3) / 2) / sqrt(m)
+        assert d < np.sqrt(np.log(2e3) / 2.0) / np.sqrt(m)
+
+    def test_paired_entries_are_uncorrelated(self, noise):
+        # entries k and k + h of a block come from one pair of uniforms
+        firsts, seconds = [], []
+        for i in range(0, noise.shape[0], 256):
+            flat = noise[i:i + 256].ravel()
+            h = flat.size // 2
+            firsts.append(flat[:h])
+            seconds.append(flat[h:2 * h])
+        a = np.concatenate(firsts).astype(np.float64)
+        b = np.concatenate(seconds).astype(np.float64)
+        bound = 4.0 / np.sqrt(a.size)
+        assert abs(np.corrcoef(a, b)[0, 1]) < bound
+        assert abs(np.corrcoef(a ** 2, b ** 2)[0, 1]) < bound
+
+    def test_odd_sized_blocks(self):
+        # a one-entry block is all odd entry: its cosine of one radius and one
+        # further uniform is still N(0, 1)
+        rng = substream(32, 0)
+        scratch = np.empty(3, dtype=np.float32)
+        z = np.empty(20_000)
+        one = np.empty(1, dtype=np.float32)
+        for k in range(z.size):
+            _normal_fill(one, rng, scratch)
+            z[k] = one[0]
+        m = z.size
+        assert abs(z.mean()) < 4.0 / np.sqrt(m)
+        assert abs(z.var() - 1.0) < 4.0 * np.sqrt(2.0 / m)
+        assert abs(np.mean(z ** 4) - 3.0) < 4.0 * np.sqrt(96.0 / m)
+
+    def test_tail_bound(self, noise):
+        assert np.all(np.isfinite(noise))
+        assert np.max(np.abs(noise)) <= _TAIL * (1 + 1e-6)
+        # the extreme uniforms: u = 1 - 2^-24 gives the largest radius, u = 0
+        # radius zero; angles 0 and 1/4 turn them onto the cosine and sine
+        flat = np.empty(4, dtype=np.float32)
+        _normal_fill(flat, _FixedUniforms([1 - 2.0 ** -24, 0.0, 0.0, 0.25]),
+                     np.empty(4, dtype=np.float32))
+        assert abs(flat[0] - _TAIL) <= 1e-6 * _TAIL
+        np.testing.assert_array_equal(flat[1:], 0.0)
 
 
 class TestRevelation:
