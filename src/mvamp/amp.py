@@ -191,8 +191,8 @@ def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMask
     the number of steps taken.  Products with the float32 matrices that
     :mod:`mvamp.model` samples carry float32 round-off, so above the
     detection threshold the change settles at a floor of about 0.4e-7 to
-    4e-7, highest near the threshold (below 1e-11 with float64 matrices): a
-    ``stop_tol`` below about 5e-7 may never fire.
+    4.5e-7, highest near the threshold (below 1e-11 with float64 matrices):
+    a ``stop_tol`` below about 5e-7 may never fire.
     """
     if n_iter < 1:
         raise ValueError(f"need at least one step, got n_iter={n_iter}")

@@ -40,8 +40,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .exceptions import MvampError
-from .experiments import (FAMILIES, INITS, SE_INIT_MODES, SWEEP_PARAMS, ExperimentConfig,
-                          draw_instance, run_se_check, run_sweep, se_check_config)
+from .experiments import (FAMILIES, INITS, SWEEP_PARAMS, ExperimentConfig, draw_instance,
+                          run_se_check, run_sweep, se_check_config)
 from .model import write_covariates_csv, write_edge_list, write_labels_csv
 from .state_evolution import SeConfig, detection_possible, theory_limits
 
@@ -159,7 +159,6 @@ TABLES = {
         Opt("r-fractions", parse_grid, "1", "per-layer strength fractions, summing to 1"),
         Opt("p-bar-coeffs", parse_grid, "0.7",
             "per-layer density coefficients k: p_bar=k/sqrt(n)"),
-        Opt("se-init", str, "deterministic-z1", "denoiser-schedule seeding", SE_INIT_MODES),
         Opt("svg", _bool, "false", "also write an overlay plot (plot.svg)"),
         Opt("export-instance", _bool, "false", "dump the first replicate's instance "
             "(labels.csv, covariates.csv, layer_i_edges.txt)"),
@@ -329,7 +328,7 @@ def cmd_simulate(s: dict[str, Any]) -> int:
         grid=s["grid"], fixed_value=s["fixed"], replicates=s["replicates"],
         n_iter=s["n-iter"], stop_tol=s["stop-tol"], seed=s["seed"], init=s["init"],
         eps=s["eps"], m=s["m"], r_fractions=s["r-fractions"], p_bar_coeffs=s["p-bar-coeffs"],
-        se_init_mode=s["se-init"], threads=s["threads"])
+        threads=s["threads"])
     out = s["out-dir"]
     out.mkdir(parents=True, exist_ok=True)
 

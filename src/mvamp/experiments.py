@@ -66,7 +66,6 @@ __all__ = [
 FAMILIES = ("gaussian", "contextual-sbm", "multilayer")
 SWEEP_PARAMS = ("lambda", "mu")
 INITS = ("spectral", "revelation")
-SE_INIT_MODES = ("deterministic-z1", "random-interval")
 
 # Sub-seed stream tags within one replicate.
 _STREAM_LABELS = 0
@@ -74,7 +73,6 @@ _STREAM_COVARIATES = 1
 _STREAM_SURROGATE = 2
 _STREAM_MASKS = 3
 _STREAM_INIT = 4
-_STREAM_SE = 5
 _STREAM_LAYER_BASE = 10
 
 
@@ -133,7 +131,6 @@ class ExperimentConfig:
     m: int = 1
     r_fractions: tuple[float, ...] = (1.0,)
     p_bar_coeffs: tuple[float, ...] = (0.7,)
-    se_init_mode: str = "deterministic-z1"
     threads: int = 1
 
     def __post_init__(self):
@@ -160,9 +157,6 @@ class ExperimentConfig:
         if self.init != "revelation" and self.eps != 0.0:
             raise ValueError(f"eps is the revelation fraction of revelation init; "
                              f"leave it at 0 for {self.init} init, got {self.eps}")
-        if self.se_init_mode not in SE_INIT_MODES:
-            raise ValueError(f"se_init_mode must be one of {SE_INIT_MODES}, "
-                             f"got {self.se_init_mode!r}")
         if self.family == "contextual-sbm" and self.m != 1:
             raise ValueError(f"contextual-sbm has one network layer, got m={self.m}")
         if self.family == "gaussian":
@@ -296,11 +290,9 @@ def run_replicate(cfg: ExperimentConfig, point_index: int, rep_index: int) -> Re
                                 [r_i for r_i, _ in _layer_specs(cfg)])
 
     revelation = cfg.init == "revelation"
-    se_seed = substream(cfg.seed, point_index, rep_index, _STREAM_SE).integers(2 ** 63)
-    traj = se_run(SeConfig(
-        lam=lam, mu=mu, c=cfg.c, eps=inst.masks.eps,
-        init_mode="zero" if revelation else cfg.se_init_mode, seed=int(se_seed),
-        t_max=cfg.n_iter + 1))
+    traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=inst.masks.eps,
+                           init_mode="zero" if revelation else "deterministic-z1",
+                           t_max=cfg.n_iter + 1))
 
     if revelation:
         state = init_zero(inst.masks, traj, cfg.p)

@@ -58,9 +58,6 @@ __all__ = [
 _FP_TOL = 1e-12
 _FP_MAX_STEPS = 10_000
 
-# Range of the uniform step-0 channel parameters of the "random-interval" start.
-_INIT_INTERVAL = (4.0, 10.0)
-
 
 @dataclass(frozen=True)
 class SeConfig:
@@ -71,11 +68,7 @@ class SeConfig:
     ``init_mode`` is one of:
 
     * ``"deterministic-z1"`` - seed the scalar recursion at overlap 1, so
-      step 0 is one step of the recursion from z = 1 (library default;
-      reproducible without a seed).
-    * ``"random-interval"`` - draw the four step-0 label-channel
-      parameters uniformly from [4, 10] (the simulation-protocol variant);
-      requires ``seed``.
+      step 0 is one step of the recursion from z = 1 (library default).
     * ``"zero"`` - the degenerate all-zero start; with eps > 0 the
       revelation pulls the recursion off the origin, with eps = 0 the
       trajectory stays identically zero.
@@ -88,7 +81,6 @@ class SeConfig:
     c: float
     eps: float = 0.0
     init_mode: str = "deterministic-z1"
-    seed: int | None = None
     t_max: int = 10_000
 
     def __post_init__(self):
@@ -103,10 +95,8 @@ class SeConfig:
             raise ValueError(f"revelation fraction must lie in [0, 1], got {self.eps}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be at least 1, got {self.t_max}")
-        if self.init_mode not in ("deterministic-z1", "random-interval", "zero"):
+        if self.init_mode not in ("deterministic-z1", "zero"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
-        if self.init_mode == "random-interval" and self.seed is None:
-            raise ValueError("init_mode 'random-interval' requires a seed")
 
 
 def _covariate_weight(z, mu: float, eps: float):
@@ -280,20 +270,12 @@ def se_run(cfg: SeConfig) -> SeTrajectory:
     schedule; z stays in [0, 1] throughout.
 
     Step 0 follows ``cfg.init_mode``: ``deterministic-z1`` takes one step
-    of the recursion from z = 1, ``zero`` has no label signal (a = b = 0),
-    and ``random-interval`` draws the label channel's parameters.
+    of the recursion from z = 1, and ``zero`` has no label signal (a = b = 0).
     """
     T = cfg.t_max
     z = np.empty(T + 1)
-    label0 = (0.0, 0.0)
     if cfg.init_mode == "deterministic-z1":
         z[0] = se_scalar_step(1.0, cfg)
-    elif cfg.init_mode == "random-interval":
-        rng = np.random.default_rng(cfg.seed)
-        m0, s0, a_prev, t_prev = rng.uniform(*_INIT_INTERVAL, size=4)
-        label0 = (a_prev / t_prev ** 2, m0 / s0 ** 2)
-        z[0] = 1.0 - (1.0 - cfg.eps) * scalar_mmse(a_prev ** 2 / t_prev ** 2
-                                                   + m0 ** 2 / s0 ** 2)
     else:
         z[0] = 1.0 - (1.0 - cfg.eps) * scalar_mmse(0.0)
     # Every step-0 state lies in [0, 1], and G_eps keeps it there.
@@ -306,7 +288,7 @@ def se_run(cfg: SeConfig) -> SeTrajectory:
     w_prev = _covariate_weight(z_prev, cfg.mu, cfg.eps)
     a = np.where(w_prev != 0.0, math.sqrt(cfg.mu / cfg.c), 0.0)
     b = np.where(z_prev != 0.0, math.sqrt(cfg.lam), 0.0)
-    if cfg.init_mode != "deterministic-z1":
-        a[0], b[0] = label0
+    if cfg.init_mode == "zero":
+        a[0] = b[0] = 0.0
     g_slope = np.where(z != 0.0, math.sqrt(cfg.mu / cfg.c) / (1.0 + cfg.mu * z), 0.0)
     return SeTrajectory(cfg=cfg, z=z, a=a, b=b, g_slope=g_slope)

@@ -157,9 +157,6 @@ def denoiser_ratios(cfg, z):
     alpha, tau2, mu_t, sigma2 = (np.zeros(T + 1) for _ in range(4))
     if cfg.init_mode == "deterministic-z1":
         alpha[0], tau2[0], mu_t[0], sigma2[0] = label_params(1.0)
-    elif cfg.init_mode == "random-interval":
-        m0, s0, a_prev, t_prev = np.random.default_rng(cfg.seed).uniform(4.0, 10.0, size=4)
-        alpha[0], tau2[0], mu_t[0], sigma2[0] = a_prev, t_prev ** 2, m0, s0 ** 2
     for k in range(1, T + 1):
         alpha[k], tau2[k], mu_t[k], sigma2[k] = label_params(z[k - 1])
     beta = np.sqrt(mu * c) * z

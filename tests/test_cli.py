@@ -189,6 +189,15 @@ class TestSimulateCommand:
                        "--out-dir", str(tmp_path / "o")) == 1
         assert "repliactes" in capsys.readouterr().err
 
+    def test_removed_se_init_key_rejected(self, tmp_path, capsys):
+        # The echo of a run from before the schedule start became fixed.
+        ini = tmp_path / "config_used.ini"
+        ini.write_text("[simulate]\nse-init = deterministic-z1\n")
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", str(ini), "--out-dir", str(out)) == 1
+        assert "se-init" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_family_is_usage_error(self, tmp_path):
         assert run_cli("simulate", "--family", "gaussian", "--n", "200", "--p", "120",
                        "--sweep", "lambda", "--grid", "-3.0", "--fixed", "0.9",
@@ -344,8 +353,6 @@ def test_unknown_subcommand_is_usage_error():
     (("theory", "--lambda-grid", "1", "--mu-grid", "1", "--c", "1", "--eps", "1.5"), None),
     (("theory", "--lambda-grid", "nan", "--mu-grid", "1", "--c", "1"), None),
     (("simulate", "--grid", "nan", "--n", "100", "--p", "60", "--replicates", "1"), None),
-    (("simulate", "--n", "100", "--p", "60", "--replicates", "1"),
-     "[simulate]\nse-init = bogus\n"),
     (("simulate", "--family", "contextual-sbm", "--p-bar-coeffs", "0.7,0.3",
       "--n", "100", "--p", "60", "--replicates", "1"), None),
     (("simulate",), "seed = 3\n"),
