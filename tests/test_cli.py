@@ -353,6 +353,8 @@ def test_unknown_subcommand_is_usage_error():
     (("theory", "--lambda-grid", "1", "--mu-grid", "1", "--c", "1", "--eps", "1.5"), None),
     (("theory", "--lambda-grid", "nan", "--mu-grid", "1", "--c", "1"), None),
     (("simulate", "--grid", "nan", "--n", "100", "--p", "60", "--replicates", "1"), None),
+    (("simulate", "--n", "100", "--p", "60", "--replicates", "1"),
+     "[simulate]\nse-init = deterministic-z1\n"),
     (("simulate", "--family", "contextual-sbm", "--p-bar-coeffs", "0.7,0.3",
       "--n", "100", "--p", "60", "--replicates", "1"), None),
     (("simulate",), "seed = 3\n"),

@@ -26,6 +26,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="init_mode"):
             cfg(2.0, 1.0, 1.0, init_mode="random-interval")
 
+    def test_no_seed_field(self):
+        # The schedule is a function of (lam, mu, c, eps, t_max) alone.
+        with pytest.raises(TypeError, match="seed"):
+            cfg(2.0, 1.0, 1.0, seed=11)
+
 
 class TestScalarStep:
     def test_origin_without_revelation(self):
@@ -244,7 +249,8 @@ class TestSeRun:
         assert traj.z[5] > 0.5
 
     @pytest.mark.parametrize("lam,mu,c", [(2.0, 1.0, 1.0), (0.0, 1.5, 5 / 3),
-                                          (3.0, 0.0, 0.6), (0.0, 0.0, 1.0)])
+                                          (3.0, 0.0, 0.6), (0.0, 0.0, 1.0),
+                                          (0.5, 0.5, 1.0)])
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     @pytest.mark.parametrize("init_mode", ["deterministic-z1", "zero"])
     def test_denoiser_schedule_matches_channel_parameters(self, lam, mu, c, eps, init_mode):
@@ -257,3 +263,10 @@ class TestSeRun:
     def test_z_in_unit_interval(self, init_mode):
         traj = se_run(cfg(3.0, 0.5, 2.0, eps=0.2, t_max=40, init_mode=init_mode))
         assert np.all((traj.z >= 0.0) & (traj.z <= 1.0))
+
+    @pytest.mark.parametrize("init_mode", ["deterministic-z1", "zero"])
+    def test_reproducible_from_config_values(self, init_mode):
+        a = se_run(cfg(2.0, 1.0, 1.0, eps=0.1, init_mode=init_mode, t_max=10))
+        b = se_run(cfg(2.0, 1.0, 1.0, eps=0.1, init_mode=init_mode, t_max=10))
+        for got, ref in ((a.z, b.z), (a.a, b.a), (a.b, b.b), (a.g_slope, b.g_slope)):
+            np.testing.assert_array_equal(got, ref)
