@@ -24,12 +24,14 @@ separate products and stay two passes over B.
 
 The spectral start needs the algebraically largest eigenpair of the
 composed operator, which may have a negative eigenvalue of larger
-magnitude.  :func:`leading_eigenpair` finds it with implicitly restarted
-Lanczos (scipy's ``eigsh`` on ARPACK), driven only through the operator's
-matvec.  scipy.sparse.linalg is imported inside that function, not here,
-scipy.linalg.blas by the operator that calls ``ssymv``, and scipy.sparse
-is needed only as an annotation: callers that build no operator (the
-theory functions, ``mvamp theory``) load no scipy module at all.
+magnitude.  :func:`leading_eigenpair` finds it with a Lanczos loop driven
+only through the operator's matvec.  It tests its Ritz pair after every
+matvec and stops as soon as the tolerance is met, so a coarse start costs
+only the matvecs it needs.  scipy.linalg is imported by that loop (for
+its tridiagonal solve) and by the operator that calls ``ssymv``, not
+here, and scipy.sparse is needed only as an annotation: callers that
+build no operator (the theory functions, ``mvamp theory``) load no scipy
+module at all.
 
 While a replicate runs, alone or in a sweep, mvamp owns the cores:
 ``experiments`` holds every OpenBLAS that numpy and scipy ship at one
@@ -37,10 +39,8 @@ thread (:func:`_single_threaded_blas`) and draws each instance's row blocks
 on two threads of its own (:mod:`mvamp.model`).  OpenBLAS's second thread
 spin-waits after each product and would compete with those draws and with
 AMP's elementwise work.  One BLAS thread also makes every product's
-rounding, and so every sweep value, independent of
-``OPENBLAS_NUM_THREADS``.  Lanczos on its own runs slower on one thread,
-but the replicate as a whole runs faster: the draw and the AMP steps gain
-more than the spectral start loses.
+rounding, the spectral start's Gram-Schmidt products among them, and so
+every sweep value, independent of ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -263,36 +263,83 @@ def compose_spectral_operator(t_op: SymmetricOperator | None, b_op: RectOperator
     return ComposedSpectralOperator(t_op, b_op, a0)
 
 
+# Most Lanczos vectors kept at once: 64 n floats, so the solve stays O(n).
+_LANCZOS_BASIS = 64
+
+
+def _lanczos_cycle(op: SymmetricOperator, basis: np.ndarray, v: np.ndarray, tol: float,
+                   budget: int) -> tuple[float, np.ndarray, bool, int]:
+    """Lanczos from v until the top Ritz pair meets ``tol``, the basis rows
+    fill or ``budget`` matvecs are spent.
+
+    Returns (theta, Ritz vector, whether it met tol, matvecs spent).  The
+    Ritz pair is exact, and meets any tol, once beta vanishes: the basis
+    then spans an invariant subspace.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    n = op.n
+    basis[0] = v / np.linalg.norm(v)
+    alphas, betas = [], []
+    # A bound on ||T|| from its rows: the scale against which beta vanishes.
+    scale = 0.0
+    for k in range(min(basis.shape[0], budget)):
+        w = op.matvec(basis[k])
+        known = basis[:k + 1]
+        # Two passes of classical Gram-Schmidt against the whole basis.
+        alpha = 0.0
+        for _ in range(2):
+            coeffs = known @ w
+            w -= coeffs @ known
+            alpha += coeffs[k]
+        beta = float(np.linalg.norm(w))
+        scale = max(scale, abs(alpha) + beta + (betas[-1] if betas else 0.0))
+        alphas.append(alpha)
+        vals, vecs = eigh_tridiagonal(np.array(alphas), np.array(betas),
+                                      select="i", select_range=(k, k))
+        theta, y = float(vals[0]), vecs[:, 0]
+        invariant = beta <= n * np.finfo(float).eps * scale or k + 1 == n
+        met = invariant or beta * abs(y[-1]) <= tol * abs(theta)
+        if met or k + 1 == basis.shape[0]:
+            break
+        basis[k + 1] = w / beta
+        betas.append(beta)
+    return theta, y @ known, met, k + 1
+
+
 def leading_eigenpair(op: SymmetricOperator, tol: float = 1e-10, max_iter: int = 20_000,
                       rng=None) -> tuple[float, np.ndarray]:
     """Algebraically largest eigenpair of a symmetric operator.
 
-    Implicitly restarted Lanczos (ARPACK through ``eigsh``, which="LA")
-    started from a standard normal vector drawn from ``rng``; ``max_iter``
-    caps the restarts.  The contract is checked after the solve: the
+    Lanczos with full reorthogonalization, started from a standard normal
+    vector drawn from ``rng``.  After every matvec the top Ritz pair
+    (theta, y) of the tridiagonal matrix is tested, and the solve ends once
+    the residual estimate |beta y_last| is at most tol |theta|.  A basis
+    that reaches ``_LANCZOS_BASIS`` vectors restarts from the current Ritz
+    vector.  ``max_iter`` caps the matvecs of the solve.
+
+    The contract is checked after the solve, on a fresh matvec: the
     eigen-residual satisfies ||op v - theta v|| <= 10 tol max(1, |theta|),
     and the returned vector has unit norm with its largest-magnitude
     coordinate positive.
     """
-    # Imported here, not at module level: the import takes longer than all of
-    # `import mvamp` (about 0.3 s against 0.2 s on a 2-core VM), and only the
-    # spectral start needs it.
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"need at least one matvec, got max_iter={max_iter}")
     rng = np.random.default_rng(rng)
-    n = op.n
-    lin_op = LinearOperator((n, n), matvec=op.matvec, dtype=float)
-    try:
-        vals, vecs = eigsh(lin_op, k=1, which="LA", v0=rng.standard_normal(n),
-                           tol=tol, maxiter=max_iter, rng=rng)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"Lanczos did not converge in {max_iter} restarts: {exc}",
-            iterations=max_iter) from exc
-    theta = float(vals[0])
-    v = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    basis = np.empty((min(op.n, _LANCZOS_BASIS), op.n))
+    v = rng.standard_normal(op.n)
+    matvecs = 0
+    while True:
+        theta, v, met, spent = _lanczos_cycle(op, basis, v, tol, max_iter - matvecs)
+        matvecs += spent
+        if met:
+            break
+        if matvecs >= max_iter:
+            raise ConvergenceError(f"Lanczos did not converge in {max_iter} matvecs",
+                                   iterations=max_iter)
+    v /= np.linalg.norm(v)
     residual = float(np.linalg.norm(op.matvec(v) - theta * v))
     if residual > 10.0 * tol * max(1.0, abs(theta)):
         raise ConvergenceError(
@@ -317,9 +364,10 @@ def _openblas_thread_calls() -> tuple:
 
     The libraries sit in the wheels' ``numpy.libs`` and ``scipy.libs``
     directories.  Each is opened by its path, which loads scipy's before
-    the spectral start imports ARPACK: the dynamic linker then reuses the
-    loaded copy, so ARPACK runs with the count set here.  A numpy or scipy
-    built against another BLAS contributes nothing.
+    the first replicate imports scipy.linalg: the dynamic linker then
+    reuses the loaded copy, so ``ssymv`` and the spectral start's
+    tridiagonal solve run with the count set here.  A numpy or scipy built
+    against another BLAS contributes nothing.
     """
     import ctypes
     import importlib.util

@@ -1,9 +1,10 @@
 """`import mvamp` and the theory functions must not load scipy.
 
-scipy.sparse.linalg is imported lazily by the spectral start, scipy.sparse
-by the network sampler and the edge-list writer, and scipy.optimize is not
-used at all.  The theory path needs only numpy; any scipy module on it
-would add a large share of the package's start-up time and memory.
+scipy.linalg is imported lazily by the spectral start and the float32
+surrogate product, scipy.sparse by the network sampler and the edge-list
+writer, and scipy.sparse.linalg and scipy.optimize are not used at all.
+The theory path needs only numpy; any scipy module on it would add a large
+share of the package's start-up time and memory.
 """
 
 import subprocess
@@ -41,3 +42,17 @@ def test_theory_functions_load_no_scipy_module():
              "mvamp.limit_mmse(2.0, 0.9, 5 / 3); mvamp.detection_possible(0.5, 0.5, 1.0); "
              "mvamp.xi_limit(2.0, 0.9, 5 / 3); mvamp.scalar_mi(1.0)")
     assert _scipy_modules_after(calls) == "[]"
+
+
+def test_replicates_load_no_sparse_linalg():
+    # the spectral start runs its own Lanczos loop: scipy.sparse.linalg,
+    # whose import takes longer than all of `import mvamp`, stays unloaded
+    small = ("sweep_param='lambda', grid=(2.0,), fixed_value=0.9, replicates=1, "
+             "n_iter=5, seed=1")
+    calls = ("from mvamp import ExperimentConfig, run_sweep; "
+             f"run_sweep(ExperimentConfig(family='gaussian', n=200, p=120, {small})); "
+             f"run_sweep(ExperimentConfig(family='multilayer', n=400, p=240, m=2, "
+             f"r_fractions=(0.5, 0.5), p_bar_coeffs=(0.7, 0.6), {small}))")
+    loaded = _scipy_modules_after(calls)
+    assert "'scipy.linalg'" in loaded and "'scipy.sparse'" in loaded
+    assert "scipy.sparse.linalg" not in loaded

@@ -12,7 +12,7 @@ from mvamp.amp import solve_a0
 from mvamp.linalg import (ComposedSpectralOperator, DenseSymmetricOperator,
                           RectOperator, SparseCenteredOperator, WeightedSumOperator,
                           compose_spectral_operator, leading_eigenpair)
-from mvamp.linalg import _openblas_thread_calls, _single_threaded_blas
+from mvamp.linalg import _LANCZOS_BASIS, _openblas_thread_calls, _single_threaded_blas
 from mvamp.model import (center_scale_layer, rates_from_lambda, sample_covariates,
                          sample_gaussian_surrogate, sample_labels, sample_sbm_layer,
                          substream)
@@ -22,6 +22,17 @@ def random_symmetric(n, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n))
     return (m + m.T) * scale
+
+
+class CountedOperator:
+    """An operator that counts its matvecs."""
+
+    def __init__(self, op):
+        self.op, self.n, self.calls = op, op.n, 0
+
+    def matvec(self, v):
+        self.calls += 1
+        return self.op.matvec(v)
 
 
 class TestOperatorProbes:
@@ -156,9 +167,68 @@ class TestLeadingEigenpair:
             leading_eigenpair(op, tol=1e-14, max_iter=1, rng=10)
         assert err.value.iterations == 1
 
+    @pytest.mark.parametrize("max_iter", [5, 70])
+    def test_max_iter_caps_the_matvecs(self, max_iter):
+        # 70 runs one restart past the full basis before the cap
+        op = CountedOperator(DenseSymmetricOperator(random_symmetric(300, 9)))
+        with pytest.raises(ConvergenceError) as err:
+            leading_eigenpair(op, tol=1e-14, max_iter=max_iter, rng=10)
+        assert err.value.iterations == max_iter
+        assert op.calls == max_iter
+
+    def test_coarse_tol_stops_early_on_a_spike(self):
+        # a spike of strength 2 above a Wigner bulk, as a spectral start
+        # sees above the detection threshold: tol 1e-2 needs 12-14 matvecs,
+        # the check's included, so a solver that builds 20 basis vectors
+        # before its first convergence test fails
+        n = 400
+        rng = np.random.default_rng(70)
+        g = rng.standard_normal((n, n))
+        x = rng.choice([-1.0, 1.0], n)
+        m = (g + g.T) / np.sqrt(2 * n) + 2.0 * np.outer(x, x) / n
+        for seed in range(5):
+            op = CountedOperator(DenseSymmetricOperator(m))
+            theta, v = leading_eigenpair(op, tol=1e-2, rng=seed)
+            assert op.calls < 20
+            assert np.linalg.norm(op.matvec(v) - theta * v) <= 0.1 * theta
+
+    def test_restart_past_the_basis_meets_the_contract(self):
+        # n above the basis cap, a relative gap of 0.5% and a tight tol: one
+        # basis cannot resolve the top pair, so the solve restarts
+        tol = 1e-10
+        d = np.linspace(0.0, 1.0, 300)
+        d[-2] = 0.995
+        op = CountedOperator(DenseSymmetricOperator(np.diag(d)))
+        theta, v = leading_eigenpair(op, tol=tol, rng=3)
+        assert op.calls > _LANCZOS_BASIS + 1
+        assert abs(theta - 1.0) < 1e-12
+        assert np.linalg.norm(op.matvec(v) - theta * v) <= 10 * tol
+        assert abs(v[-1]) > 1.0 - 1e-9 and v[-1] > 0
+
+    def test_invariant_subspace_ends_the_solve_exactly(self):
+        # a rank-one operator: the Krylov space of any start is spanned by
+        # two vectors, so the second beta vanishes and the Ritz pair is
+        # exact, far below a tol no estimate could meet by itself
+        n = 200
+        x = np.random.default_rng(71).choice([-1.0, 1.0], n)
+        op = CountedOperator(DenseSymmetricOperator(np.outer(x, x) / np.sqrt(n)))
+        theta, v = leading_eigenpair(op, tol=1e-15, rng=4)
+        assert op.calls == 3  # two in the loop, one for the residual check
+        assert abs(theta - np.sqrt(n)) < 1e-13
+        np.testing.assert_allclose(v, x * x[np.argmax(np.abs(v))] / np.sqrt(n), atol=1e-14)
+
+    def test_zero_operator(self):
+        op = DenseSymmetricOperator(np.zeros((90, 90)))
+        theta, v = leading_eigenpair(op, tol=1e-10, rng=5)
+        assert theta == 0.0 and abs(np.linalg.norm(v) - 1.0) < 1e-12
+
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             leading_eigenpair(DenseSymmetricOperator(np.eye(3)), tol=0.0)
+
+    def test_rejects_bad_max_iter(self):
+        with pytest.raises(ValueError):
+            leading_eigenpair(DenseSymmetricOperator(np.eye(3)), max_iter=0)
 
 
 class TestComposeSpectralOperator:
@@ -282,9 +352,10 @@ class TestSparseCenteredOperator:
 
 class TestSingleThreadedBlas:
     def test_covers_every_loaded_openblas(self):
-        # scipy's OpenBLAS is loaded by the spectral start's ARPACK import;
-        # a pin that found no library would silently leave BLAS threaded
-        import scipy.sparse.linalg  # noqa: F401
+        # scipy's OpenBLAS is loaded by scipy.linalg, which the spectral
+        # start imports (ssymv, eigh_tridiagonal); a pin that found no
+        # library would silently leave BLAS threaded
+        import scipy.linalg  # noqa: F401
 
         found = {os.path.realpath(path) for path, _, _ in _openblas_thread_calls()}
         mapped = {os.path.realpath(line.split()[-1])
