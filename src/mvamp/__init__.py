@@ -23,7 +23,6 @@ from .model import (CommunityLabels, CovariateModel, GaussianSurrogate, LayerPar
 from .scalar_channel import (QuadratureRule, gauss_hermite_rule, log_cosh, scalar_mi,
                              scalar_mmse)
 from .state_evolution import (SeConfig, SeTrajectory, detection_possible, fixed_point_z,
-                              gamma_star, limit_mmse, se_run, se_scalar_step, theory_limits,
-                              xi_limit)
+                              limit_mmse, se_run, se_scalar_step, theory_limits, xi_limit)
 
 __version__ = "0.1.0"

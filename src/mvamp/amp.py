@@ -166,16 +166,14 @@ def amp_step(state: AmpState, sym_op: SymmetricOperator, b_op: RectOperator,
 class AmpRun:
     """Output of a full run: the final estimate plus per-step diagnostics.
 
-    overlap[t] is the signed alignment <q^t, x*> / n (empty arrays when no
-    ground truth was supplied), self_overlap[t] is <q^t, q^t> / n, and
-    mse[t] the matrix mean square error via the O(n) identity.
+    overlap[t] is the signed alignment <q^t, x*> / n (empty when no ground
+    truth was supplied), and self_overlap[t] is <q^t, q^t> / n.
     """
 
     x_hat: np.ndarray
     n_steps: int
     overlap: np.ndarray
     self_overlap: np.ndarray
-    mse: np.ndarray
 
 
 def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMasks,
@@ -205,15 +203,12 @@ def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMask
     state = init if init is not None else init_zero(masks, traj, b_op.p)
     n = state.q.size
 
-    overlaps, selfs, mses = [], [], []
+    overlaps, selfs = [], []
 
     def record(q):
-        s = float(np.dot(q, q) / n)
-        selfs.append(s)
+        selfs.append(float(np.dot(q, q) / n))
         if x_star is not None:
-            ov = float(np.dot(q, x_star) / n)
-            overlaps.append(ov)
-            mses.append(1.0 - 2.0 * ov * ov + s * s)
+            overlaps.append(float(np.dot(q, x_star) / n))
 
     record(state.q)
     for _ in range(n_iter):
@@ -224,8 +219,7 @@ def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMask
         if delta < stop_tol:
             break
     return AmpRun(x_hat=state.q, n_steps=state.t,
-                  overlap=np.array(overlaps), self_overlap=np.array(selfs),
-                  mse=np.array(mses))
+                  overlap=np.array(overlaps), self_overlap=np.array(selfs))
 
 
 def _a0_rhs(a: float, lam: float, mu: float, c: float) -> float:

@@ -40,7 +40,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .exceptions import MvampError
-from .experiments import (FAMILIES, INITS, SWEEP_PARAMS, ExperimentConfig, draw_instance,
+from .experiments import (FAMILIES, SWEEP_PARAMS, ExperimentConfig, draw_instance,
                           run_se_check, run_sweep, se_check_config)
 from .model import write_covariates_csv, write_edge_list, write_labels_csv
 from .state_evolution import SeConfig, detection_possible, theory_limits
@@ -152,9 +152,8 @@ TABLES = {
         Opt("n-iter", int, "100", "iteration cap per replicate (see stop-tol)"),
         Opt("stop-tol", float, "1e-6", "stop a replicate once the RMS change of its "
             "labels between steps falls below this; 0 runs all n-iter steps"),
-        Opt("init", str, "spectral", "initialization", INITS),
-        Opt("eps", float, "0", "revelation fraction: in (0, 1] for revelation init, "
-            "0 for spectral"),
+        Opt("eps", float, "0", "revelation fraction in [0, 1]: 0 runs the spectral "
+            "start; > 0 starts from zero iterates with that fraction revealed"),
         Opt("m", int, "1", "number of network layers"),
         Opt("r-fractions", parse_grid, "1", "per-layer strength fractions, summing to 1"),
         Opt("p-bar-coeffs", parse_grid, "0.7",
@@ -326,9 +325,8 @@ def cmd_simulate(s: dict[str, Any]) -> int:
     cfg = _checked(
         ExperimentConfig, family=s["family"], n=s["n"], p=s["p"], sweep_param=s["sweep"],
         grid=s["grid"], fixed_value=s["fixed"], replicates=s["replicates"],
-        n_iter=s["n-iter"], stop_tol=s["stop-tol"], seed=s["seed"], init=s["init"],
-        eps=s["eps"], m=s["m"], r_fractions=s["r-fractions"], p_bar_coeffs=s["p-bar-coeffs"],
-        threads=s["threads"])
+        n_iter=s["n-iter"], stop_tol=s["stop-tol"], seed=s["seed"], eps=s["eps"], m=s["m"],
+        r_fractions=s["r-fractions"], p_bar_coeffs=s["p-bar-coeffs"], threads=s["threads"])
     out = s["out-dir"]
     out.mkdir(parents=True, exist_ok=True)
 

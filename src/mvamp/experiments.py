@@ -2,7 +2,8 @@
 
 A replicate samples one instance of a model family (:func:`draw_instance`,
 also behind ``mvamp simulate --export-instance``), builds the operators,
-initializes (spectral or revelation), runs the iteration, and reports the
+initializes (spectral start, or zero iterates with a fraction eps of the
+truth revealed when eps > 0), runs the iteration, and reports the
 matrix mean square error, the sign overlap and the steps taken.  The
 iteration runs at most ``n_iter`` steps: it ends once the root-mean-square
 change of the labels between two steps falls below ``stop_tol`` (0 runs all
@@ -65,7 +66,6 @@ __all__ = [
 
 FAMILIES = ("gaussian", "contextual-sbm", "multilayer")
 SWEEP_PARAMS = ("lambda", "mu")
-INITS = ("spectral", "revelation")
 
 # Sub-seed stream tags within one replicate.
 _STREAM_LABELS = 0
@@ -104,12 +104,12 @@ class ExperimentConfig:
     """One sweep definition.
 
     The swept parameter (``sweep_param``) runs over ``grid`` while the
-    other of (lambda, mu) is held at ``fixed_value``.  ``init`` selects the
-    spectral start or zero iterates with eps-revelation; ``eps`` lies in
-    (0, 1] for revelation and is 0 for the spectral start.  ``n_iter`` caps
-    the iteration, which ends earlier once the root-mean-square change of
-    the labels between two steps falls below ``stop_tol``; ``stop_tol = 0``
-    runs all ``n_iter`` steps.  ``r_fractions`` must be positive and sum to
+    other of (lambda, mu) is held at ``fixed_value``.  ``eps`` in [0, 1]
+    picks the start: 0 runs the spectral start; > 0 starts from zero
+    iterates with that fraction revealed.  ``n_iter`` caps the iteration,
+    which ends earlier once the root-mean-square change of the labels
+    between two steps falls below ``stop_tol``; ``stop_tol = 0`` runs all
+    ``n_iter`` steps.  ``r_fractions`` must be positive and sum to
     one; layer i gets strength r_i * lambda and density
     p_bar_coeffs[i] / sqrt(n) in (0, 1).  ``contextual-sbm`` has one layer
     (m = 1); ``gaussian`` has no network layers and rejects m,
@@ -126,7 +126,6 @@ class ExperimentConfig:
     n_iter: int = 100
     stop_tol: float = 1e-6
     seed: int = 0
-    init: str = "spectral"
     eps: float = 0.0
     m: int = 1
     r_fractions: tuple[float, ...] = (1.0,)
@@ -150,13 +149,8 @@ class ExperimentConfig:
             raise ValueError(f"stop_tol must be finite and nonnegative, got {self.stop_tol}")
         if self.threads < 1:
             raise ValueError(f"threads must be a positive integer, got {self.threads}")
-        if self.init not in INITS:
-            raise ValueError(f"init must be 'spectral' or 'revelation', got {self.init!r}")
-        if self.init == "revelation" and not 0.0 < self.eps <= 1.0:
-            raise ValueError(f"revelation init requires eps in (0, 1], got {self.eps}")
-        if self.init != "revelation" and self.eps != 0.0:
-            raise ValueError(f"eps is the revelation fraction of revelation init; "
-                             f"leave it at 0 for {self.init} init, got {self.eps}")
+        if not 0.0 <= self.eps <= 1.0:
+            raise ValueError(f"revelation fraction eps must lie in [0, 1], got {self.eps}")
         if self.family == "contextual-sbm" and self.m != 1:
             raise ValueError(f"contextual-sbm has one network layer, got m={self.m}")
         if self.family == "gaussian":
@@ -273,6 +267,10 @@ def draw_instance(cfg: ExperimentConfig, point_index: int,
 def run_replicate(cfg: ExperimentConfig, point_index: int, rep_index: int) -> ReplicateResult:
     """Sample one instance, run the estimator, and score it.
 
+    The estimator starts from zero iterates with the fraction ``cfg.eps``
+    of the truth revealed when eps > 0, and from the spectral start when
+    eps = 0.
+
     OpenBLAS runs on one thread for the whole replicate, called alone or
     from a sweep, so the products round the same way either way (the
     surrogate's ``ssymv`` splits its sums by the thread count).
@@ -289,12 +287,9 @@ def run_replicate(cfg: ExperimentConfig, point_index: int, rep_index: int) -> Re
         sym_op = combine_layers([center_scale_layer(layer) for layer in inst.network],
                                 [r_i for r_i, _ in _layer_specs(cfg)])
 
-    revelation = cfg.init == "revelation"
-    traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=inst.masks.eps,
-                           init_mode="zero" if revelation else "deterministic-z1",
-                           t_max=cfg.n_iter + 1))
+    traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=cfg.eps, t_max=cfg.n_iter + 1))
 
-    if revelation:
+    if cfg.eps > 0.0:
         state = init_zero(inst.masks, traj, cfg.p)
     else:
         rng = substream(cfg.seed, point_index, rep_index, _STREAM_INIT)
@@ -405,7 +400,7 @@ def se_check_config(lam: float, mu: float, c: float, eps: float, n: int,
         raise ValueError(f"n >= 2, t_max >= 1 and replicates >= 1 required, "
                          f"got {n}, {t_max} and {replicates}")
     # Built for its checks, which name lam, mu, c and eps.
-    SeConfig(lam=lam, mu=mu, c=c, eps=eps, init_mode="zero", t_max=t_max + 1)
+    SeConfig(lam=lam, mu=mu, c=c, eps=eps, t_max=t_max + 1)
     if eps == 0.0:
         raise ValueError("tracking check requires eps in (0, 1]")
     p = round(n / c)
@@ -414,7 +409,7 @@ def se_check_config(lam: float, mu: float, c: float, eps: float, n: int,
     return ExperimentConfig(
         family="gaussian", n=n, p=p, sweep_param="lambda", grid=(lam,),
         fixed_value=mu, replicates=replicates, n_iter=t_max, stop_tol=0.0, seed=seed,
-        init="revelation", eps=eps, threads=threads)
+        eps=eps, threads=threads)
 
 
 def run_se_check(cfg: ExperimentConfig) -> SeCheckReport:
@@ -425,8 +420,7 @@ def run_se_check(cfg: ExperimentConfig) -> SeCheckReport:
     evolution module docstring)."""
     lam, mu = cfg.point(cfg.grid[0])
     # The theory runs at the realized ratio n / p.
-    traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=cfg.eps, init_mode="zero",
-                           t_max=cfg.n_iter + 1))
+    traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=cfg.eps, t_max=cfg.n_iter + 1))
     trajs = _map_replicates(lambda rep: run_replicate(cfg, 0, rep).overlap_trajectory,
                             range(cfg.replicates), cfg.threads)
     t_max = cfg.n_iter

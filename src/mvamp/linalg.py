@@ -140,8 +140,6 @@ class DenseSymmetricOperator(SymmetricOperator):
                 raise ValueError(f"expected a length-{self.n} vector, got {v.shape}")
             prod = self._ssymv(1.0, self.matrix.T, v.astype(np.float32), lower=1)
             prod = prod.astype(np.float64)
-        if self.denom == 1.0:
-            return prod
         return prod / self.denom
 
 

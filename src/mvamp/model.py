@@ -508,10 +508,7 @@ def center_scale_layer(layer: SbmLayer) -> SparseCenteredOperator:
     sparse matvec plus a rank-one correction; the dense matrix is never
     formed.
     """
-    p_bar = layer.params.p_bar
-    if not 0.0 < p_bar < 1.0:
-        raise ValueError(f"degenerate density p_bar={p_bar}")
-    return SparseCenteredOperator(layer.adjacency, p_bar)
+    return SparseCenteredOperator(layer.adjacency, layer.params.p_bar)
 
 
 def combine_layers(ops: list[SymmetricOperator], lambdas: list[float]) -> SymmetricOperator:
@@ -522,9 +519,6 @@ def combine_layers(ops: list[SymmetricOperator], lambdas: list[float]) -> Symmet
         raise ValueError("one strength per operator required")
     if any(l <= 0 for l in lambdas):
         raise ValueError("all layer strengths must be positive")
-    dims = {op.n for op in ops}
-    if len(dims) != 1:
-        raise ValueError(f"operators disagree on dimension: {sorted(dims)}")
     total = float(sum(lambdas))
     weights = [np.sqrt(l / total) for l in lambdas]
     if len(ops) == 1:

@@ -12,8 +12,9 @@ limit is the closed form ``xi_limit``.  The paper states these limits at
 eps = 0.
 
 A fraction eps > 0 of the truth is revealed only by the zero start of the
-iteration (the orchestrated analysis and the tracking check).  The
-covariate-channel term is
+iteration (the orchestrated analysis and the tracking check), so eps alone
+picks the start: eps = 0 is the spectral start.  The covariate-channel
+term is
 
     w(z) = eps + (1 - eps) * mu z / (1 + mu z),
 
@@ -50,7 +51,6 @@ __all__ = [
     "detection_possible",
     "xi_limit",
     "theory_limits",
-    "gamma_star",
     "se_run",
 ]
 
@@ -64,23 +64,16 @@ class SeConfig:
     """Parameters of a state-evolution run.
 
     lam, mu are the network and covariate signal strengths, c > 0 the
-    subjects-per-feature ratio, eps in [0, 1] the revelation fraction.
-    ``init_mode`` is one of:
-
-    * ``"deterministic-z1"`` - seed the scalar recursion at overlap 1, so
-      step 0 is one step of the recursion from z = 1 (library default).
-    * ``"zero"`` - the degenerate all-zero start; with eps > 0 the
-      revelation pulls the recursion off the origin, with eps = 0 the
-      trajectory stays identically zero.
-
-    ``t_max`` is the number of steps :func:`se_run` records.
+    subjects-per-feature ratio, eps in [0, 1] the revelation fraction, which
+    also picks the start of :func:`se_run`: 0 runs the spectral start; > 0
+    starts from zero iterates with that fraction revealed.  ``t_max`` is the
+    number of steps :func:`se_run` records.
     """
 
     lam: float
     mu: float
     c: float
     eps: float = 0.0
-    init_mode: str = "deterministic-z1"
     t_max: int = 10_000
 
     def __post_init__(self):
@@ -95,8 +88,6 @@ class SeConfig:
             raise ValueError(f"revelation fraction must lie in [0, 1], got {self.eps}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be at least 1, got {self.t_max}")
-        if self.init_mode not in ("deterministic-z1", "zero"):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
 
 
 def _covariate_weight(z, mu: float, eps: float):
@@ -214,16 +205,6 @@ def theory_limits(lam: float, mu: float, c: float) -> tuple[float, float, float]
     return z_star, _matrix_mmse(z_star), float(_xi(z_star, cfg))
 
 
-def gamma_star(mu: float, c: float) -> float:
-    """Covariate-only fixed point: largest root of
-    z = 1 - mmse((mu^2 / c) z / (1 + mu z)).
-
-    Zero whenever mu^2 / c <= 1.  This is z*(0, mu), so the same monotone
-    iteration applies.
-    """
-    return fixed_point_z(SeConfig(lam=0.0, mu=mu, c=c))
-
-
 @dataclass(frozen=True)
 class DenoiserParams:
     """Scalar coefficients of the step-t denoisers.
@@ -269,26 +250,29 @@ def se_run(cfg: SeConfig) -> SeTrajectory:
     """Run the recursion for cfg.t_max steps after step 0 and return the
     schedule; z stays in [0, 1] throughout.
 
-    Step 0 follows ``cfg.init_mode``: ``deterministic-z1`` takes one step
-    of the recursion from z = 1, and ``zero`` has no label signal (a = b = 0).
+    Step 0 follows eps.  At eps = 0, the spectral start, it is one step of
+    the recursion from z = 1.  At eps > 0 the iteration starts from zero
+    iterates with that fraction revealed: step 0 has no label signal
+    (a = b = 0), and z_0 = 1 - (1 - eps) mmse(0) = eps.
     """
     T = cfg.t_max
     z = np.empty(T + 1)
-    if cfg.init_mode == "deterministic-z1":
-        z[0] = se_scalar_step(1.0, cfg)
-    else:
+    zero_start = cfg.eps > 0.0
+    if zero_start:
         z[0] = 1.0 - (1.0 - cfg.eps) * scalar_mmse(0.0)
+    else:
+        z[0] = se_scalar_step(1.0, cfg)
     # Every step-0 state lies in [0, 1], and G_eps keeps it there.
     for k in range(1, T + 1):
         z[k] = _step(z[k - 1], cfg)
 
-    # The label denoiser of step k follows z[k - 1]; step 0 of
-    # deterministic-z1 follows z = 1.
+    # The label denoiser of step k follows z[k - 1]; step 0 of the spectral
+    # start follows z = 1.
     z_prev = np.concatenate(([1.0], z[:-1]))
     w_prev = _covariate_weight(z_prev, cfg.mu, cfg.eps)
     a = np.where(w_prev != 0.0, math.sqrt(cfg.mu / cfg.c), 0.0)
     b = np.where(z_prev != 0.0, math.sqrt(cfg.lam), 0.0)
-    if cfg.init_mode == "zero":
+    if zero_start:
         a[0] = b[0] = 0.0
     g_slope = np.where(z != 0.0, math.sqrt(cfg.mu / cfg.c) / (1.0 + cfg.mu * z), 0.0)
     return SeTrajectory(cfg=cfg, z=z, a=a, b=b, g_slope=g_slope)

@@ -145,7 +145,8 @@ def denoiser_ratios(cfg, z):
     (mu_t, sigma2) of the network label channel and (beta, vartheta2) of the
     spike channel, reduced to alpha / tau2, mu_t / sigma2 and
     beta / (beta^2 + vartheta2) with 0/0 -> 0.  The label channels of step
-    k are built from z[k - 1]; those of step 0 follow ``cfg.init_mode``.
+    k are built from z[k - 1]; those of step 0 follow z = 1 for the spectral
+    start (eps = 0) and carry no signal for the zero start (eps > 0).
     """
     lam, mu, c, eps = cfg.lam, cfg.mu, cfg.c, cfg.eps
 
@@ -155,7 +156,7 @@ def denoiser_ratios(cfg, z):
 
     T = len(z) - 1
     alpha, tau2, mu_t, sigma2 = (np.zeros(T + 1) for _ in range(4))
-    if cfg.init_mode == "deterministic-z1":
+    if eps == 0.0:
         alpha[0], tau2[0], mu_t[0], sigma2[0] = label_params(1.0)
     for k in range(1, T + 1):
         alpha[k], tau2[k], mu_t[k], sigma2[k] = label_params(z[k - 1])

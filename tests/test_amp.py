@@ -6,6 +6,7 @@ from mvamp.amp import (AmpState, DenoiserParams, amp_step, denoise_f, denoise_g,
                        init_spectral, init_zero, onsager_coeffs, run_amp, solve_a0,
                        spectral_initialize)
 from mvamp.exceptions import DivergenceError
+from mvamp.experiments import empirical_mse
 from mvamp.linalg import DenseSymmetricOperator, RectOperator
 from mvamp.model import (RevelationMasks, sample_covariates, sample_gaussian_surrogate,
                          sample_labels, sample_revelation, substream)
@@ -142,19 +143,18 @@ def small_instance(n=8, p=5, lam=2.0, mu=1.0, eps=0.25, seed=11):
     masks = sample_revelation(lab, cov.v_star, eps, substream(seed, 3))
     sym_op = DenseSymmetricOperator(surr.T, denom=np.sqrt(n))
     b_op = RectOperator(cov.B)
-    traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=eps, init_mode="zero", t_max=12))
+    traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=eps, t_max=12))
     return lab, surr, cov, masks, sym_op, b_op, traj
 
 
 class TestAmpStep:
     def test_zero_fixed_point(self):
-        # eps = 0 with zero iterates and the degenerate schedule: the origin
-        # is a fixed point (this is why spectral init or revelation exists)
+        # eps = 0 with zero iterates: the origin is a fixed point (this is
+        # why the spectral start or revelation exists)
         n, p = 10, 6
         lab, _, cov, _, sym_op, b_op, _ = small_instance(n, p, eps=0.25)
         masks = sample_revelation(lab, cov.v_star, 0.0, substream(99, 0))
-        traj = se_run(SeConfig(lam=2.0, mu=1.0, c=n / p, eps=0.0,
-                               init_mode="zero", t_max=6))
+        traj = se_run(SeConfig(lam=2.0, mu=1.0, c=n / p, eps=0.0, t_max=6))
         state = init_zero(masks, traj, p)
         for _ in range(3):
             state = amp_step(state, sym_op, b_op, masks, traj)
@@ -243,12 +243,11 @@ class TestRunAmp:
         n, p = 40, 25
         lab, _, cov, _, sym_op, b_op, _ = small_instance(n, p, seed=21)
         masks = sample_revelation(lab, cov.v_star, 1.0, substream(21, 5))
-        traj = se_run(SeConfig(lam=2.0, mu=1.0, c=n / p, eps=1.0,
-                               init_mode="zero", t_max=3))
+        traj = se_run(SeConfig(lam=2.0, mu=1.0, c=n / p, eps=1.0, t_max=3))
         out = run_amp(sym_op, b_op, masks, traj, n_iter=1,
                       init=init_zero(masks, traj, p), x_star=lab.x_star)
         np.testing.assert_array_equal(out.x_hat, lab.x_star)
-        assert out.mse[-1] == 0.0
+        assert empirical_mse(out.x_hat, lab.x_star) == 0.0
 
     def test_early_stop(self):
         # float64 copies of the stored float32 matrices: with float32 products
@@ -257,7 +256,7 @@ class TestRunAmp:
         lab, surr, cov, masks, _, _, traj = small_instance(n, p, lam=3.0, seed=22)
         sym_op = DenseSymmetricOperator(surr.T.astype(np.float64), denom=np.sqrt(n))
         b_op = RectOperator(cov.B.astype(np.float64))
-        traj = se_run(SeConfig(lam=3.0, mu=1.0, c=n / p, eps=0.25, init_mode="zero", t_max=101))
+        traj = se_run(SeConfig(lam=3.0, mu=1.0, c=n / p, eps=0.25, t_max=101))
         out = run_amp(sym_op, b_op, masks, traj, n_iter=100, x_star=lab.x_star,
                       stop_tol=1e-8)
         assert out.n_steps < 100
@@ -297,7 +296,8 @@ class TestRunAmp:
                             init=init_spectral(-vec, masks, traj, p),
                             x_star=lab.x_star)
         np.testing.assert_array_equal(out_minus.x_hat, -out_plus.x_hat)
-        assert out_minus.mse[-1] == out_plus.mse[-1]
+        assert (empirical_mse(out_minus.x_hat, lab.x_star)
+                == empirical_mse(out_plus.x_hat, lab.x_star))
 
     def test_permutation_equivariance(self):
         n, p, lam, mu, eps = 60, 40, 2.5, 1.0, 0.2
@@ -305,7 +305,7 @@ class TestRunAmp:
         cov = sample_covariates(lab, mu, p, substream(24, 1))
         surr = sample_gaussian_surrogate(lab, lam, substream(24, 2))
         masks = sample_revelation(lab, cov.v_star, eps, substream(24, 3))
-        traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=eps, init_mode="zero", t_max=4))
+        traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=eps, t_max=4))
 
         def final_q(T, B, x0, mask_x):
             mm = RevelationMasks(eps=eps, x0=x0, mask_x=mask_x,

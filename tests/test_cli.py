@@ -189,6 +189,15 @@ class TestSimulateCommand:
                        "--out-dir", str(tmp_path / "o")) == 1
         assert "repliactes" in capsys.readouterr().err
 
+    def test_removed_init_key_rejected(self, tmp_path, capsys):
+        # The echo of a run from before eps alone picked the start.
+        ini = tmp_path / "config_used.ini"
+        ini.write_text("[simulate]\ninit = spectral\neps = 0.0\n")
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", str(ini), "--out-dir", str(out)) == 1
+        assert "'init'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_removed_se_init_key_rejected(self, tmp_path, capsys):
         # The echo of a run from before the schedule start became fixed.
         ini = tmp_path / "config_used.ini"
@@ -203,14 +212,19 @@ class TestSimulateCommand:
                        "--sweep", "lambda", "--grid", "-3.0", "--fixed", "0.9",
                        "--out-dir", str(tmp_path / "o")) == 1
 
-    def test_revelation_init_end_to_end(self, tmp_path):
+    def test_revelation_init_end_to_end(self, tmp_path, monkeypatch):
+        # eps > 0 alone picks the zero start: no spectral start runs
+        def no_spectral(*args, **kwargs):
+            raise AssertionError("spectral start ran")
+
+        monkeypatch.setattr("mvamp.experiments.spectral_initialize", no_spectral)
         out = tmp_path / "o"
         assert run_cli("simulate", "--family", "gaussian", "--n", "200", "--p", "120",
                        "--sweep", "lambda", "--grid", "2.0", "--fixed", "1.0",
                        "--replicates", "2", "--n-iter", "10", "--seed", "2",
-                       "--init", "revelation", "--eps", "0.2",
-                       "--out-dir", str(out)) == 0
+                       "--eps", "0.2", "--out-dir", str(out)) == 0
         row = (out / "results.csv").read_text().splitlines()[1]
+        assert row.split(",")[13] == ""  # no errors recorded
         assert float(row.split(",")[8]) < 1.0  # mean mse: revelation helps
 
     @pytest.mark.parametrize("value", ["-3", "0"])
@@ -365,8 +379,11 @@ def test_unknown_subcommand_is_usage_error():
     (("simulate", "--eps", "nan", "--n", "100", "--p", "60", "--replicates", "1"), None),
     (("simulate", "--eps", "7", "--n", "100", "--p", "60", "--replicates", "1"), None),
     (("simulate", "--eps", "-2", "--n", "100", "--p", "60", "--replicates", "1"), None),
-    (("simulate", "--n", "100", "--p", "60", "--replicates", "1"), "[simulate]\neps = 0.3\n"),
-    (("simulate", "--init", "revelation", "--eps", "1.5", "--n", "100", "--p", "60",
+    (("simulate", "--n", "100", "--p", "60", "--replicates", "1"),
+     "[simulate]\ninit = spectral\n"),
+    (("simulate", "--n", "100", "--p", "60", "--replicates", "1"),
+     "[common]\ninit = revelation\neps = 0.1\n"),
+    (("simulate", "--init", "revelation", "--eps", "0.2", "--n", "100", "--p", "60",
       "--replicates", "1"), None),
     (("se-check", "--lambda", "nan", "--n", "100", "--replicates", "1"), None),
     (("se-check", "--n", "1", "--replicates", "1"), None),

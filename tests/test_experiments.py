@@ -12,7 +12,7 @@ from mvamp import amp, experiments
 from mvamp.exceptions import ConvergenceError
 from mvamp.experiments import (ExperimentConfig, empirical_mse, empirical_overlap,
                                run_replicate, run_se_check, run_sweep, se_check_config)
-from mvamp.state_evolution import limit_mmse
+from mvamp.state_evolution import SeConfig, limit_mmse, se_run
 
 from oracles import dense_matrix_mse
 
@@ -136,10 +136,17 @@ class TestRunReplicate:
         assert run_replicate(replace(cfg, stop_tol=1e-6), 0, 0).n_steps < n_iter
 
     def test_revelation_mode(self):
-        cfg = small_cfg(init="revelation", eps=0.3, n_iter=15)
+        cfg = small_cfg(eps=0.3, n_iter=15)
         r = run_replicate(cfg, 0, 0)
         assert 0.0 <= r.empirical_overlap <= 1.0
         assert len(r.overlap_trajectory) == 16
+
+    def test_positive_eps_starts_from_the_revealed_truth(self):
+        # the zero start's step-0 labels are the revealed truth alone
+        cfg = small_cfg(eps=0.3, n_iter=5)
+        masks = experiments.draw_instance(cfg, 0, 1).masks
+        r = run_replicate(cfg, 0, 1)
+        assert r.overlap_trajectory[0] == masks.mask_x.sum() / cfg.n
 
 
 class TestRunSweep:
@@ -307,16 +314,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="gaussian"):
             small_cfg(**kw)
 
-    @pytest.mark.parametrize("eps", [0.0, -0.1, 1.5, float("nan")])
-    def test_revelation_needs_eps(self, eps):
-        with pytest.raises(ValueError, match="revelation init requires eps"):
-            small_cfg(init="revelation", eps=eps)
-
-    @pytest.mark.parametrize("eps", [0.3, float("nan"), 7.0, -2.0])
-    def test_spectral_start_rejects_eps(self, eps):
-        # no spectral run reveals anything
-        with pytest.raises(ValueError, match="leave it at 0"):
+    @pytest.mark.parametrize("eps", [float("nan"), -0.1, 1.5])
+    def test_eps_must_lie_in_unit_interval(self, eps):
+        with pytest.raises(ValueError, match="eps"):
             small_cfg(eps=eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
+    def test_eps_in_unit_interval_accepted(self, eps):
+        assert small_cfg(eps=eps).eps == eps
+
+    def test_no_init_field(self):
+        # eps alone picks the start: 0 the spectral one, > 0 the zero one.
+        with pytest.raises(TypeError, match="init"):
+            small_cfg(init="revelation", eps=0.3)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_must_be_positive(self, threads):
@@ -362,6 +372,13 @@ class TestSeConsistency:
         np.testing.assert_allclose(rep.z_theory, 0.1, atol=1e-12)
         assert np.max(rep.abs_gap) < 0.05
 
+    def test_theory_is_the_zero_start_schedule(self):
+        cfg = se_check_config(lam=2.0, mu=1.0, c=1.0, eps=0.2, n=100, t_max=3,
+                              replicates=1)
+        rep = run_se_check(cfg)
+        traj = se_run(SeConfig(lam=2.0, mu=1.0, c=1.0, eps=0.2, t_max=4))
+        np.testing.assert_array_equal(rep.z_theory, traj.z[1:4])
+
     def test_requires_revelation(self):
         with pytest.raises(ValueError):
             run_se_check(se_check_config(lam=1.0, mu=1.0, c=1.0, eps=0.0, n=100,
@@ -389,7 +406,7 @@ def test_revelation_sweep_tracks_its_theory_column(eps):
     # to criterion 04's dense tolerance; at lam = 0.5, below the threshold,
     # the eps = 0 limit would read 1.
     cfg = small_cfg(n=1500, p=900, grid=(0.5, 1.5, 3.0), fixed_value=0.5, replicates=10,
-                    n_iter=100, init="revelation", eps=eps)
+                    n_iter=100, eps=eps)
     for agg in run_sweep(cfg):
         assert agg.errors == []
         assert abs(agg.mean_mse - agg.theory_mmse) <= 0.05, (agg.lam, agg.mean_mse)

@@ -35,7 +35,7 @@ SWEEPS = {
                        p_bar_coeffs=(0.7, 0.7)),
     # the revelation start, swept over mu
     "contextual-sbm": dict(family="contextual-sbm", n=800, p=480, sweep_param="mu",
-                           grid=(0.5, 1.5), fixed_value=1.2, init="revelation", eps=0.1),
+                           grid=(0.5, 1.5), fixed_value=1.2, eps=0.1),
 }
 
 # (sweep, swept value, mean MSE, mean overlap, mean steps)

@@ -331,6 +331,10 @@ class TestDenseProducts:
             expected = ref(x)
             assert np.linalg.norm(out - expected) <= 1e-5 * np.linalg.norm(expected)
 
+    def test_unit_denominator_divides_exactly(self):
+        _, T, v, _ = self.operands()
+        assert DenseSymmetricOperator(T).matvec(v).tobytes() == (T @ v).tobytes()
+
     def test_float32_surrogate_reads_only_its_upper_triangle(self):
         _, T, v, _ = self.operands()
         n = T.shape[0]

@@ -4,8 +4,8 @@ import pytest
 from mvamp.exceptions import ConvergenceError
 from mvamp.scalar_channel import scalar_mmse
 from mvamp.state_evolution import (SeConfig, detection_possible, fixed_point_z,
-                                   gamma_star, limit_mmse, se_run, se_scalar_step,
-                                   theory_limits, xi_limit)
+                                   limit_mmse, se_run, se_scalar_step, theory_limits,
+                                   xi_limit)
 
 from oracles import bisect_fixed_point, denoiser_ratios, scalar_map, trapezoid_adaptive
 
@@ -22,9 +22,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="finite"):
             SeConfig(**args)
 
-    def test_random_interval_start_rejected(self):
-        with pytest.raises(ValueError, match="init_mode"):
-            cfg(2.0, 1.0, 1.0, init_mode="random-interval")
+    def test_no_init_mode_field(self):
+        # eps alone picks the start of the schedule.
+        with pytest.raises(TypeError, match="init_mode"):
+            cfg(2.0, 1.0, 1.0, init_mode="zero")
 
     def test_no_seed_field(self):
         # The schedule is a function of (lam, mu, c, eps, t_max) alone.
@@ -211,20 +212,22 @@ class TestXi:
         assert abs(xi_limit(lam, mu, c) - (xi_limit(0.0, mu, c) + integral)) < 1e-4
 
 
-class TestGammaStar:
+class TestCovariateOnlyFixedPoint:
+    """fixed_point_z at lam = 0: the largest root of
+    z = 1 - mmse((mu^2 / c) z / (1 + mu z))."""
+
     def test_no_spike(self):
-        assert gamma_star(0.0, 1.0) == 0.0
+        assert fixed_point_z(cfg(0.0, 0.0, 1.0)) == 0.0
 
     def test_subcritical_spike(self):
-        assert gamma_star(0.9, 1.0) == 0.0   # mu^2 / c = 0.81 <= 1
-        assert gamma_star(1.0, 1.0) == 0.0   # boundary
+        assert fixed_point_z(cfg(0.0, 0.9, 1.0)) == 0.0   # mu^2 / c = 0.81 <= 1
+
+    def test_boundary(self):
+        assert fixed_point_z(cfg(0.0, 1.0, 1.0)) == 0.0
 
     def test_supercritical_vs_bisection(self):
         g = scalar_map(0.0, 2.0, 1.0)
-        assert abs(gamma_star(2.0, 1.0) - bisect_fixed_point(g)) < 1e-10
-
-    def test_equals_covariate_only_fixed_point(self):
-        assert gamma_star(2.0, 1.0) == fixed_point_z(cfg(0.0, 2.0, 1.0))
+        assert abs(fixed_point_z(cfg(0.0, 2.0, 1.0)) - bisect_fixed_point(g)) < 1e-10
 
 
 class TestSeRun:
@@ -238,13 +241,15 @@ class TestSeRun:
         traj = se_run(cfg(1.0, 1.0, 1.0, eps=1.0, t_max=20))
         np.testing.assert_allclose(traj.z, 1.0, atol=1e-14)
 
-    def test_zero_start_stays_zero_without_revelation(self):
-        traj = se_run(cfg(2.0, 1.0, 1.0, init_mode="zero", t_max=50))
-        assert np.all(traj.z == 0.0)
-        assert np.all(traj.b == 0.0)
+    def test_spectral_start_steps_from_one(self):
+        c = cfg(2.0, 1.0, 1.0, t_max=5)
+        traj = se_run(c)
+        assert traj.z[0] == se_scalar_step(1.0, c)
+        assert traj.a[0] == 1.0 and traj.b[0] == np.sqrt(2.0)
 
     def test_zero_start_with_revelation_leaves_origin(self):
-        traj = se_run(cfg(2.0, 1.0, 1.0, eps=0.1, init_mode="zero", t_max=50))
+        traj = se_run(cfg(2.0, 1.0, 1.0, eps=0.1, t_max=50))
+        assert traj.a[0] == traj.b[0] == 0.0
         assert abs(traj.z[0] - 0.1) < 1e-14
         assert traj.z[5] > 0.5
 
@@ -252,21 +257,20 @@ class TestSeRun:
                                           (3.0, 0.0, 0.6), (0.0, 0.0, 1.0),
                                           (0.5, 0.5, 1.0)])
     @pytest.mark.parametrize("eps", [0.0, 0.1])
-    @pytest.mark.parametrize("init_mode", ["deterministic-z1", "zero"])
-    def test_denoiser_schedule_matches_channel_parameters(self, lam, mu, c, eps, init_mode):
-        traj = se_run(cfg(lam, mu, c, eps=eps, init_mode=init_mode, t_max=30))
+    def test_denoiser_schedule_matches_channel_parameters(self, lam, mu, c, eps):
+        traj = se_run(cfg(lam, mu, c, eps=eps, t_max=30))
         for got, ref in zip((traj.a, traj.b, traj.g_slope), denoiser_ratios(traj.cfg, traj.z)):
             np.testing.assert_array_equal(got == 0.0, ref == 0.0)
             assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
 
-    @pytest.mark.parametrize("init_mode", ["deterministic-z1", "zero"])
-    def test_z_in_unit_interval(self, init_mode):
-        traj = se_run(cfg(3.0, 0.5, 2.0, eps=0.2, t_max=40, init_mode=init_mode))
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    def test_z_in_unit_interval(self, eps):
+        traj = se_run(cfg(3.0, 0.5, 2.0, eps=eps, t_max=40))
         assert np.all((traj.z >= 0.0) & (traj.z <= 1.0))
 
-    @pytest.mark.parametrize("init_mode", ["deterministic-z1", "zero"])
-    def test_reproducible_from_config_values(self, init_mode):
-        a = se_run(cfg(2.0, 1.0, 1.0, eps=0.1, init_mode=init_mode, t_max=10))
-        b = se_run(cfg(2.0, 1.0, 1.0, eps=0.1, init_mode=init_mode, t_max=10))
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_reproducible_from_config_values(self, eps):
+        a = se_run(cfg(2.0, 1.0, 1.0, eps=eps, t_max=10))
+        b = se_run(cfg(2.0, 1.0, 1.0, eps=eps, t_max=10))
         for got, ref in ((a.z, b.z), (a.a, b.a), (a.b, b.b), (a.g_slope, b.g_slope)):
             np.testing.assert_array_equal(got, ref)
