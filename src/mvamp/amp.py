@@ -177,12 +177,14 @@ class AmpRun:
 
 
 def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMasks,
-            traj: SeTrajectory, n_iter: int = 100,
-            init: AmpState | None = None, x_star: np.ndarray | None = None,
-            stop_tol: float = 0.0) -> AmpRun:
-    """Run at most n_iter steps and return the last denoised labels plus
-    diagnostics.
+            traj: SeTrajectory, init: AmpState, n_iter: int = 100,
+            x_star: np.ndarray | None = None, stop_tol: float = 0.0) -> AmpRun:
+    """Run at most n_iter steps from ``init`` and return the last denoised
+    labels plus diagnostics.
 
+    ``init`` is the start, :func:`init_zero` or :func:`init_spectral`, and
+    has no default: without revealed labels (eps = 0) the zero start is a
+    fixed point, so a run from it would return x_hat = 0.
     The trajectory must provide coefficients for n_iter + 1 steps.  The
     loop ends once successive denoised vectors differ by less than
     ``stop_tol`` (nonnegative) in root-mean-square, so n_iter is a cap;
@@ -191,7 +193,9 @@ def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMask
     :mod:`mvamp.model` samples carry float32 round-off, so above the
     detection threshold the change settles at a floor of about 0.4e-7 to
     4.5e-7, highest near the threshold (below 1e-11 with float64 matrices):
-    a ``stop_tol`` below about 5e-7 may never fire.
+    a ``stop_tol`` below about 5e-7 may never fire.  The sweeps' default
+    (``ExperimentConfig.stop_tol``, 1e-4) sits more than 200 times above
+    that floor.
     """
     if n_iter < 1:
         raise ValueError(f"need at least one step, got n_iter={n_iter}")
@@ -200,7 +204,7 @@ def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMask
     if len(traj) < n_iter + 1:
         raise ValueError(
             f"trajectory provides {len(traj)} steps, need {n_iter + 1}")
-    state = init if init is not None else init_zero(masks, traj, b_op.p)
+    state = init
     n = state.q.size
 
     overlaps, selfs = [], []
@@ -259,7 +263,7 @@ def solve_a0(lam: float, mu: float, c: float) -> float:
 
 def spectral_initialize(sym_op: SymmetricOperator | None, b_op: RectOperator | None,
                         a0: float, rng,
-                        tol: float = 1e-2) -> np.ndarray:
+                        tol: float = 1e-1) -> np.ndarray:
     """Leading eigenvector of the composed initializer matrix, scaled to
     norm sqrt(n): the starting vector of both label orbits.
 
@@ -269,9 +273,12 @@ def spectral_initialize(sym_op: SymmetricOperator | None, b_op: RectOperator | N
     ``tol`` is the Lanczos tolerance.  AMP forgets its start once it
     converges, so the start needs only coarse accuracy, and the Lanczos
     loop stops as soon as it is met: over the 110 replicates of acceptance
-    criteria 04-07, tol 1e-2 against 1e-3 cut the matvecs of a start from
-    14-69 to 10-40, its residual check included, and moved no grid point's
-    mean MSE above the detection threshold by more than 4e-8.
+    criteria 04-07, tol 1e-1 against 1e-2 cut the matvecs of a start from
+    11-40 to 7-12, its residual check included.  With the sweeps' default
+    stop it moved no grid point's mean MSE above the detection threshold by
+    more than 5e-6, and AMP took a few more steps (criterion 04 at
+    lambda = 1.5: 39 instead of 30 on average), which the saved matvecs
+    outweigh.
     """
     op = compose_spectral_operator(sym_op, b_op, a0)
     _, vec = leading_eigenpair(op, tol=tol, rng=rng)

@@ -131,6 +131,12 @@ class Opt:
     choices: tuple[str, ...] | None = None
 
 
+def _field_default(name: str) -> str:
+    """Text form of an ``ExperimentConfig`` field's default: the one copy of
+    every ``simulate`` default that the library also has."""
+    return _text(getattr(ExperimentConfig, name))
+
+
 OUT_DIR = Opt("out-dir", Path, "mvamp-out", "output directory")
 SEED = Opt("seed", int, "0", "root seed")
 THREADS = Opt("threads", int, "1", "worker threads")
@@ -148,15 +154,19 @@ TABLES = {
         Opt("sweep", str, "lambda", "which parameter varies", SWEEP_PARAMS),
         Opt("grid", parse_grid, "0.5:4.5:9", "swept values: 'a,b,c' or 'lo:hi:count'"),
         Opt("fixed", float, "0.9", "the held-fixed parameter value"),
-        Opt("replicates", int, "10", "replicates per point"),
-        Opt("n-iter", int, "100", "iteration cap per replicate (see stop-tol)"),
-        Opt("stop-tol", float, "1e-6", "stop a replicate once the RMS change of its "
-            "labels between steps falls below this; 0 runs all n-iter steps"),
-        Opt("eps", float, "0", "revelation fraction in [0, 1]: 0 runs the spectral "
-            "start; > 0 starts from zero iterates with that fraction revealed"),
-        Opt("m", int, "1", "number of network layers"),
-        Opt("r-fractions", parse_grid, "1", "per-layer strength fractions, summing to 1"),
-        Opt("p-bar-coeffs", parse_grid, "0.7",
+        Opt("replicates", int, _field_default("replicates"), "replicates per point"),
+        Opt("n-iter", int, _field_default("n_iter"),
+            "iteration cap per replicate (see stop-tol)"),
+        Opt("stop-tol", float, _field_default("stop_tol"),
+            "stop a replicate once the RMS change of its labels between steps "
+            "falls below this; below about 5e-7 (float32 round-off) it may "
+            "never fire; 0 runs all n-iter steps"),
+        Opt("eps", float, _field_default("eps"), "revelation fraction in [0, 1]: 0 runs "
+            "the spectral start; > 0 starts from zero iterates with that fraction revealed"),
+        Opt("m", int, _field_default("m"), "number of network layers"),
+        Opt("r-fractions", parse_grid, _field_default("r_fractions"),
+            "per-layer strength fractions, summing to 1"),
+        Opt("p-bar-coeffs", parse_grid, _field_default("p_bar_coeffs"),
             "per-layer density coefficients k: p_bar=k/sqrt(n)"),
         Opt("svg", _bool, "false", "also write an overlay plot (plot.svg)"),
         Opt("export-instance", _bool, "false", "dump the first replicate's instance "

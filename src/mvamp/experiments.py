@@ -124,7 +124,7 @@ class ExperimentConfig:
     fixed_value: float
     replicates: int = 10
     n_iter: int = 100
-    stop_tol: float = 1e-6
+    stop_tol: float = 1e-4
     seed: int = 0
     eps: float = 0.0
     m: int = 1

@@ -257,8 +257,8 @@ class TestRunAmp:
         sym_op = DenseSymmetricOperator(surr.T.astype(np.float64), denom=np.sqrt(n))
         b_op = RectOperator(cov.B.astype(np.float64))
         traj = se_run(SeConfig(lam=3.0, mu=1.0, c=n / p, eps=0.25, t_max=101))
-        out = run_amp(sym_op, b_op, masks, traj, n_iter=100, x_star=lab.x_star,
-                      stop_tol=1e-8)
+        out = run_amp(sym_op, b_op, masks, traj, n_iter=100,
+                      init=init_zero(masks, traj, p), x_star=lab.x_star, stop_tol=1e-8)
         assert out.n_steps < 100
         assert len(out.overlap) == out.n_steps + 1
 
@@ -268,13 +268,23 @@ class TestRunAmp:
         n, p = 8, 5
         _, _, _, masks, sym_op, b_op, traj = small_instance(n, p)
         with pytest.raises(ValueError, match="stop_tol"):
-            run_amp(sym_op, b_op, masks, traj, n_iter=3, stop_tol=tol)
+            run_amp(sym_op, b_op, masks, traj, n_iter=3,
+                    init=init_zero(masks, traj, p), stop_tol=tol)
 
     def test_trajectory_length_guard(self):
         n, p = 8, 5
         _, _, _, masks, sym_op, b_op, traj = small_instance(n, p)
         with pytest.raises(ValueError):
-            run_amp(sym_op, b_op, masks, traj, n_iter=len(traj))
+            run_amp(sym_op, b_op, masks, traj, n_iter=len(traj),
+                    init=init_zero(masks, traj, p))
+
+    def test_init_is_required(self):
+        # the zero start is a fixed point at eps = 0 (test_zero_fixed_point),
+        # so a missing start must fail rather than return x_hat = 0
+        n, p = 8, 5
+        _, _, _, masks, sym_op, b_op, traj = small_instance(n, p)
+        with pytest.raises(TypeError, match="init"):
+            run_amp(sym_op, b_op, masks, traj, n_iter=3)
 
     def test_sign_flip_invariance(self):
         # flipping the initializer flips every unrevealed iterate exactly

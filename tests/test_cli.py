@@ -151,6 +151,20 @@ class TestSimulateCommand:
             run_cli(*self.ARGS, "--out-dir", str(out))
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
 
+    def test_defaults_are_the_config_defaults(self, tmp_path, monkeypatch):
+        built = []
+
+        def capture(cfg):
+            built.append(cfg)
+            return []
+
+        monkeypatch.setattr("mvamp.cli.run_sweep", capture)
+        assert run_cli("simulate", "--out-dir", str(tmp_path / "o")) == 0
+        (cfg,) = built
+        for name in ("n_iter", "stop_tol", "replicates", "eps", "m", "r_fractions",
+                     "p_bar_coeffs"):
+            assert getattr(cfg, name) == getattr(ExperimentConfig, name), name
+
     def test_twelve_significant_digits(self, tmp_path):
         out = tmp_path / "o"
         run_cli(*self.ARGS, "--out-dir", str(out))

@@ -65,6 +65,17 @@ def small_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+# (sizes, steps, the bound on the RMS step change over the last 10 steps)
+FLOOR_CASES = [
+    (dict(family="gaussian", n=1500, p=900, grid=(2.5,)), 100, 3e-7),
+    (dict(family="multilayer", n=2000, p=3000, grid=(2.0,), m=3,
+          r_fractions=(0.6, 0.2, 0.2), p_bar_coeffs=(0.7, 0.4, 0.3)), 100, 3e-7),
+    # Near the threshold the floor is highest, under the 5e-7 that
+    # run_amp states.
+    (dict(family="gaussian", n=1500, p=900, grid=(1.5,)), 200, 5e-7),
+]
+
+
 class TestRunReplicate:
     def test_deterministic(self):
         cfg = small_cfg()
@@ -101,26 +112,20 @@ class TestRunReplicate:
                                       reference.overlap_trajectory)
 
     def test_stops_above_threshold_and_runs_to_cap_below(self):
-        # lambda + mu^2 / c is 2.99 and 0.99: the first settles within 1e-6,
-        # the second keeps wandering near zero overlap
+        # lambda + mu^2 / c is 2.99 and 0.99: the first settles within the
+        # default stop_tol, the second keeps wandering near zero overlap
         above = run_replicate(small_cfg(n=600, p=360, grid=(2.5,), n_iter=100), 0, 0)
         assert above.n_steps < 100
         assert len(above.overlap_trajectory) == above.n_steps + 1
         below = run_replicate(small_cfg(n=600, p=360, grid=(0.5,), n_iter=100), 0, 0)
         assert below.n_steps == 100
 
-    @pytest.mark.parametrize("sizes,n_iter,floor", [
-        (dict(family="gaussian", n=1500, p=900, grid=(2.5,)), 100, 3e-7),
-        (dict(family="multilayer", n=2000, p=3000, grid=(2.0,), m=3,
-              r_fractions=(0.6, 0.2, 0.2), p_bar_coeffs=(0.7, 0.4, 0.3)), 100, 3e-7),
-        # Near the threshold the floor is highest, under the 5e-7 that
-        # run_amp states.
-        (dict(family="gaussian", n=1500, p=900, grid=(1.5,)), 200, 5e-7),
-    ], ids=["gaussian", "multilayer", "gaussian-near-threshold"])
+    @pytest.mark.parametrize("sizes,n_iter,floor", FLOOR_CASES,
+                             ids=["gaussian", "multilayer", "gaussian-near-threshold"])
     def test_step_change_settles_at_the_float32_floor(self, monkeypatch, sizes, n_iter, floor):
         # With float32 products the RMS change of q between steps settles
         # near 1e-7 (below 1e-11 with float64 products): the default
-        # stop_tol of 1e-6 lies above that floor.
+        # stop_tol lies above that floor.
         deltas = []
         step = amp.amp_step
 
@@ -133,10 +138,16 @@ class TestRunReplicate:
         cfg = small_cfg(replicates=1, n_iter=n_iter, stop_tol=0.0, **sizes)
         assert run_replicate(cfg, 0, 0).n_steps == n_iter
         assert max(deltas[-10:]) < floor
-        assert run_replicate(replace(cfg, stop_tol=1e-6), 0, 0).n_steps < n_iter
+        assert run_replicate(replace(cfg, stop_tol=ExperimentConfig.stop_tol),
+                             0, 0).n_steps < n_iter
+
+    def test_default_stop_tol_sits_far_above_the_float32_floor(self):
+        # A stop within a few times the floor may never fire near the
+        # threshold; 100x keeps it clear of round-off on every case above.
+        assert ExperimentConfig.stop_tol >= 100 * max(floor for _, _, floor in FLOOR_CASES)
 
     def test_revelation_mode(self):
-        cfg = small_cfg(eps=0.3, n_iter=15)
+        cfg = small_cfg(eps=0.3, n_iter=15, stop_tol=0.0)
         r = run_replicate(cfg, 0, 0)
         assert 0.0 <= r.empirical_overlap <= 1.0
         assert len(r.overlap_trajectory) == 16

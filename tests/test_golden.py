@@ -40,11 +40,11 @@ SWEEPS = {
 
 # (sweep, swept value, mean MSE, mean overlap, mean steps)
 ROWS = [
-    ("gaussian", 1.5, 0.8419107722856995, 0.52, 74.5),
-    ("gaussian", 3.0, 0.31260249829186904, 0.8916666666666666, 26.0),
-    ("multilayer", 3.0, 0.16667773969302935, 0.9450000000000001, 17.5),
-    ("contextual-sbm", 0.5, 0.7925796665181528, 0.6012500000000001, 46.0),
-    ("contextual-sbm", 1.5, 0.6266448927329034, 0.71375, 32.0),
+    ("gaussian", 1.5, 0.8423331578690214, 0.515, 67.0),
+    ("gaussian", 3.0, 0.312598028676158, 0.8916666666666666, 18.5),
+    ("multilayer", 3.0, 0.16668203270537413, 0.9450000000000001, 12.0),
+    ("contextual-sbm", 0.5, 0.7925643081553282, 0.6012500000000001, 30.0),
+    ("contextual-sbm", 1.5, 0.6266424449392929, 0.71375, 22.0),
 ]
 
 # (lambda, mu, c) -> (z*, limit MMSE, xi limit)
