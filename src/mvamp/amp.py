@@ -185,6 +185,7 @@ def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMask
     ``init`` is the start, :func:`init_zero` or :func:`init_spectral`, and
     has no default: without revealed labels (eps = 0) the zero start is a
     fixed point, so a run from it would return x_hat = 0.
+
     The trajectory must provide coefficients for n_iter + 1 steps.  The
     loop ends once successive denoised vectors differ by less than
     ``stop_tol`` (nonnegative) in root-mean-square, so n_iter is a cap;
