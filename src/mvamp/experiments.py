@@ -12,11 +12,11 @@ replicates per point and attach the theoretical limit for comparison.
 Everything is deterministic in (config, seed), the stop included:
 replicate sub-seeds are derived with :func:`mvamp.model.substream` and
 results are merged by index, so the thread count never changes a number.
-While the replicates run, mvamp owns the cores: every OpenBLAS is held at
-one thread and each instance's row blocks are drawn on two threads (see
-:mod:`mvamp.linalg` and :mod:`mvamp.model`), so ``OPENBLAS_NUM_THREADS``
-does not change a number either.  ``threads`` replicates then run side by
-side without oversubscribing the cores.
+While the replicates run, mvamp owns the cores: numpy's OpenBLAS, the only
+BLAS mvamp calls, is held at one thread and each instance's row blocks are
+drawn on two threads (see :mod:`mvamp.linalg` and :mod:`mvamp.model`), so
+``OPENBLAS_NUM_THREADS`` does not change a number either.  ``threads``
+replicates then run side by side without oversubscribing the cores.
 The state-evolution tracking check always runs the full ``t_max`` steps,
 because it compares every step with the prediction.
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from .amp import init_spectral, init_zero, run_amp, solve_a0, spectral_initialize
 from .exceptions import MvampError
-from .linalg import DenseSymmetricOperator, RectOperator, _single_threaded_blas
+from .linalg import DenseSymmetricOperator, RectOperator, _single_threaded_blas, _trim_heap
 from .model import (CommunityLabels, CovariateModel, GaussianSurrogate, RevelationMasks,
                     SbmLayer, center_scale_layer, combine_layers, rates_from_lambda,
                     sample_covariates, sample_gaussian_surrogate, sample_labels,
@@ -318,13 +318,21 @@ def _map_replicates(fn, items, threads: int) -> list:
     """fn over items in input order, on ``threads`` worker threads if threads > 1.
 
     OpenBLAS stays on one thread while the replicates run (one pin for all
-    of them, so the workers never race on setting and restoring it).
+    of them, so the workers never race on setting and restoring it).  The
+    heap's free pages go back to the OS after each replicate, so a heap
+    split by a small long-lived block does not keep a matrix's worth of
+    freed pages resident (:func:`mvamp.linalg._trim_heap`).
     """
+    def run(item):
+        out = fn(item)
+        _trim_heap()
+        return out
+
     with _single_threaded_blas():
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(fn, items))
-        return [fn(item) for item in items]
+                return list(pool.map(run, items))
+        return [run(item) for item in items]
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[AggregateResult]:

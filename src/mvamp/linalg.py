@@ -27,20 +27,22 @@ composed operator, which may have a negative eigenvalue of larger
 magnitude.  :func:`leading_eigenpair` finds it with a Lanczos loop driven
 only through the operator's matvec.  It tests its Ritz pair after every
 matvec and stops as soon as the tolerance is met, so a coarse start costs
-only the matvecs it needs.  scipy.linalg is imported by that loop (for
-its tridiagonal solve) and by the operator that calls ``ssymv``, not
-here, and scipy.sparse is needed only as an annotation: callers that
-build no operator (the theory functions, ``mvamp theory``) load no scipy
-module at all.
+only the matvecs it needs.  Its small tridiagonal eigenproblem goes to
+numpy's ``eigh``, and the float32 surrogate product calls numpy's own
+OpenBLAS, so no replicate loads scipy.linalg.  scipy.sparse is needed here
+only as an annotation: callers that build no operator (the theory
+functions, ``mvamp theory``) load no scipy module at all.
 
 While a replicate runs, alone or in a sweep, mvamp owns the cores:
-``experiments`` holds every OpenBLAS that numpy and scipy ship at one
+``experiments`` holds numpy's OpenBLAS, the only BLAS mvamp calls, at one
 thread (:func:`_single_threaded_blas`) and draws each instance's row blocks
 on two threads of its own (:mod:`mvamp.model`).  OpenBLAS's second thread
 spin-waits after each product and would compete with those draws and with
 AMP's elementwise work.  One BLAS thread also makes every product's
 rounding, the spectral start's Gram-Schmidt products among them, and so
-every sweep value, independent of ``OPENBLAS_NUM_THREADS``.
+every sweep value, independent of ``OPENBLAS_NUM_THREADS``.  After each
+replicate of a sweep the heap's free pages go back to the OS
+(:func:`_trim_heap`).
 """
 
 from __future__ import annotations
@@ -99,17 +101,19 @@ class DenseSymmetricOperator(SymmetricOperator):
     """v -> (M v) / denom for a dense symmetric M; the product runs in M's
     dtype and returns float64, and the division runs in float64.
 
-    A C-ordered float32 M (the sampled surrogate) is multiplied by scipy's
-    BLAS ``ssymv`` on the F-ordered view ``M.T`` with ``lower=1``: it reads
-    M's upper triangle only, n(n + 1)/2 entries instead of n², and never
-    its strict lower triangle.  On a sampled surrogate at n = 2000, whose
-    product entries are about 36 in magnitude, its largest error against a
-    float64 product was 1.7e-4, against 6e-5 for a full float32 ``gemv``:
-    float32 round-off either way.  ssymv splits its sums, and so its
-    rounding, by the OpenBLAS thread count, which
-    :func:`_single_threaded_blas` holds at one while a replicate runs.
+    A C-ordered float32 M (the sampled surrogate) is multiplied by BLAS
+    ``ssymv`` from numpy's OpenBLAS (:func:`_cblas_ssymv`), row-major with
+    the upper triangle: it reads only M[i, j] with j >= i, n(n + 1)/2
+    entries instead of n², and never M's strict lower triangle.  On a
+    sampled surrogate at n = 2000, whose product entries are about 36 in
+    magnitude, its largest error against a float64 product was 1.7e-4,
+    against 6e-5 for a full float32 ``gemv``: float32 round-off either way.
+    ssymv splits its sums, and so its rounding, by the OpenBLAS thread
+    count, which :func:`_single_threaded_blas` holds at one while a
+    replicate runs.
 
-    Every other matrix keeps the plain product, which reads all of M.  A
+    Every other matrix keeps the plain product, which reads all of M, and
+    so does a float32 one when numpy's BLAS has no such ``ssymv``.  A
     float64 M is kept off ``dsymv`` on purpose: ``symv`` reads any matrix
     as if it were symmetric, so :func:`leading_eigenpair`'s residual check
     after the solve could no longer catch an asymmetric one, and a float64
@@ -124,22 +128,24 @@ class DenseSymmetricOperator(SymmetricOperator):
         self.denom = float(denom)
         self.n = matrix.shape[0]
         self._ssymv = None
-        # Only a C-ordered M has an F-ordered M.T that ssymv reads in
-        # place; scipy would copy any other layout on every product.
+        # ssymv is handed M's buffer as rows of length n, so M must be
+        # C-ordered.
         if matrix.dtype == np.float32 and matrix.flags.c_contiguous:
-            # Imported here, not at module level: `import mvamp` loads no
-            # scipy module.
-            from scipy.linalg.blas import ssymv
-            self._ssymv = ssymv
+            self._ssymv = _cblas_ssymv()
+            self._matrix_ptr = matrix.ctypes.data
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self._ssymv is None:
             prod = _product(self.matrix, v)
         else:
+            # ssymv gets raw pointers and reads n entries of x
             if v.shape != (self.n,):
                 raise ValueError(f"expected a length-{self.n} vector, got {v.shape}")
-            prod = self._ssymv(1.0, self.matrix.T, v.astype(np.float32), lower=1)
-            prod = prod.astype(np.float64)
+            x = v.astype(np.float32)
+            out = np.zeros(self.n, dtype=np.float32)
+            self._ssymv(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, self.n, 1.0, self._matrix_ptr, self.n,
+                        x.ctypes.data, 1, 0.0, out.ctypes.data, 1)
+            prod = out.astype(np.float64)
         return prod / self.denom
 
 
@@ -274,8 +280,6 @@ def _lanczos_cycle(op: SymmetricOperator, basis: np.ndarray, v: np.ndarray, tol:
     Ritz pair is exact, and meets any tol, once beta vanishes: the basis
     then spans an invariant subspace.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     n = op.n
     basis[0] = v / np.linalg.norm(v)
     alphas, betas = [], []
@@ -293,9 +297,9 @@ def _lanczos_cycle(op: SymmetricOperator, basis: np.ndarray, v: np.ndarray, tol:
         beta = float(np.linalg.norm(w))
         scale = max(scale, abs(alpha) + beta + (betas[-1] if betas else 0.0))
         alphas.append(alpha)
-        vals, vecs = eigh_tridiagonal(np.array(alphas), np.array(betas),
-                                      select="i", select_range=(k, k))
-        theta, y = float(vals[0]), vecs[:, 0]
+        # eigh reads the lower triangle: the alphas and the betas below them
+        vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
+        theta, y = float(vals[-1]), vecs[:, -1]
         invariant = beta <= n * np.finfo(float).eps * scale or k + 1 == n
         met = invariant or beta * abs(y[-1]) <= tol * abs(theta)
         if met or k + 1 == basis.shape[0]:
@@ -349,44 +353,103 @@ def leading_eigenpair(op: SymmetricOperator, tol: float = 1e-10, max_iter: int =
     return theta, v
 
 
-# The thread-count calls of the OpenBLAS builds that numpy's and scipy's
-# wheels ship: numpy's has a 64-bit integer interface and a 64_ suffix.
-_OPENBLAS_CALLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-                   ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
+# The calls mvamp makes into the OpenBLAS that numpy's wheel ships: it has
+# a 64-bit integer interface, and its symbols a scipy_ prefix and 64_ suffix.
+_GET_THREADS = "scipy_openblas_get_num_threads64_"
+_SET_THREADS = "scipy_openblas_set_num_threads64_"
+_SSYMV = "scipy_cblas_ssymv64_"
+# The CBLAS enum values for a row-major matrix and its upper triangle.
+_CBLAS_ROW_MAJOR, _CBLAS_UPPER = 101, 121
 
 
 @functools.cache
-def _openblas_thread_calls() -> tuple:
-    """(path, get, set) of the thread count of every OpenBLAS that numpy and
-    scipy ship, found once per process.
+def _numpy_openblas() -> tuple:
+    """(path, ctypes library) of every OpenBLAS in numpy's wheel, found once
+    per process.
 
-    The libraries sit in the wheels' ``numpy.libs`` and ``scipy.libs``
-    directories.  Each is opened by its path, which loads scipy's before
-    the first replicate imports scipy.linalg: the dynamic linker then
-    reuses the loaded copy, so ``ssymv`` and the spectral start's
-    tridiagonal solve run with the count set here.  A numpy or scipy built
-    against another BLAS contributes nothing.
+    The libraries sit in the wheel's ``numpy.libs`` directory, and opening
+    one by its path hands back the copy numpy has already loaded.  A numpy
+    built against another BLAS has none.
     """
     import ctypes
     import importlib.util
     from pathlib import Path
 
+    spec = importlib.util.find_spec("numpy")
+    if spec is None or not spec.submodule_search_locations:
+        return ()
+    site = Path(spec.submodule_search_locations[0]).parent
+    return tuple((str(path), ctypes.CDLL(str(path)))
+                 for path in sorted(site.glob("numpy.libs/*openblas*.so*")))
+
+
+@functools.cache
+def _cblas_ssymv():
+    """numpy's OpenBLAS ``cblas_ssymv``, or None where numpy's BLAS lacks it.
+
+    It is called with (order, uplo, n, alpha, A, lda, x, incx, beta, y,
+    incy): y = alpha A x + beta y for the symmetric A stored in the given
+    triangle.
+    """
+    import ctypes
+
+    for _, lib in _numpy_openblas():
+        fn = getattr(lib, _SSYMV, None)
+        if fn is not None:
+            i64, ptr, f32 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_float
+            fn.argtypes = [ctypes.c_int, ctypes.c_int, i64, f32, ptr, i64, ptr, i64, f32,
+                           ptr, i64]
+            fn.restype = None
+            return fn
+    return None
+
+
+@functools.cache
+def _openblas_thread_calls() -> tuple:
+    """(path, get, set) of the thread count of every OpenBLAS in numpy's
+    wheel, found once per process.
+
+    numpy's OpenBLAS runs every BLAS product and LAPACK solve of a
+    replicate, ``ssymv`` and the Lanczos ``eigh`` among them.  scipy's
+    OpenBLAS is neither called nor loaded by mvamp, so it is not pinned.
+    """
+    import ctypes
+
     calls = []
-    for package in ("numpy", "scipy"):
-        spec = importlib.util.find_spec(package)
-        if spec is None or not spec.submodule_search_locations:
-            continue
-        site = Path(spec.submodule_search_locations[0]).parent
-        for path in sorted(site.glob(f"{package}.libs/*openblas*.so*")):
-            lib = ctypes.CDLL(str(path))
-            for get_name, set_name in _OPENBLAS_CALLS:
-                if hasattr(lib, set_name):
-                    get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    calls.append((str(path), get, set_))
-                    break
+    for path, lib in _numpy_openblas():
+        if hasattr(lib, _SET_THREADS):
+            get, set_ = getattr(lib, _GET_THREADS), getattr(lib, _SET_THREADS)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            calls.append((path, get, set_))
     return tuple(calls)
+
+
+@functools.cache
+def _malloc_trim():
+    """The C library's ``malloc_trim``, or None where it has none."""
+    import ctypes
+
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _trim_heap() -> None:
+    """Hand the free pages of the malloc heap back to the OS.
+
+    Once a replicate has freed a matrix that malloc had mapped on its own,
+    glibc raises its mapping threshold above that size, and the matrices of
+    later replicates are carved from the heap, whose free pages stay
+    resident.  A small long-lived block left in such a free span splits it,
+    and the next matrix that no longer fits grows the heap by its whole
+    size.  Trimming after each replicate returns those pages; the next one
+    faults them back in.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 # The thread count is a property of the process, so the pin's bookkeeping
@@ -398,7 +461,7 @@ _pin_saved: list = []
 
 @contextlib.contextmanager
 def _single_threaded_blas():
-    """Run the body with every OpenBLAS of numpy and scipy on one thread.
+    """Run the body with numpy's OpenBLAS on one thread.
 
     The previous thread counts are put back on exit, whether the body
     returns or raises.  Nested or concurrent entries share one pin: the

@@ -111,14 +111,19 @@ class TestRunReplicate:
         np.testing.assert_array_equal(fixed.overlap_trajectory,
                                       reference.overlap_trajectory)
 
-    def test_stops_above_threshold_and_runs_to_cap_below(self):
-        # lambda + mu^2 / c is 2.99 and 0.99: the first settles within the
-        # default stop_tol, the second keeps wandering near zero overlap
-        above = run_replicate(small_cfg(n=600, p=360, grid=(2.5,), n_iter=100), 0, 0)
-        assert above.n_steps < 100
-        assert len(above.overlap_trajectory) == above.n_steps + 1
-        below = run_replicate(small_cfg(n=600, p=360, grid=(0.5,), n_iter=100), 0, 0)
-        assert below.n_steps == 100
+    def test_every_replicate_below_threshold_outlasts_every_one_above(self):
+        # lambda + mu^2 / c is 2.99 and 0.99: above the threshold every
+        # replicate settles within the default stop_tol in a few dozen
+        # steps; below it they wander near zero overlap, and while the stop
+        # fires on some of them, they all take longer and some reach the cap
+        reps = range(10)
+        cfg = small_cfg(n=600, p=360, grid=(2.5,), n_iter=100)
+        above = [run_replicate(cfg, 0, r) for r in reps]
+        for res in above:
+            assert len(res.overlap_trajectory) == res.n_steps + 1
+        below = [run_replicate(replace(cfg, grid=(0.5,)), 0, r).n_steps for r in reps]
+        assert min(below) > max(res.n_steps for res in above)
+        assert max(below) == 100
 
     @pytest.mark.parametrize("sizes,n_iter,floor", FLOOR_CASES,
                              ids=["gaussian", "multilayer", "gaussian-near-threshold"])
@@ -233,7 +238,7 @@ class TestRunSweep:
 
 
 class TestBlasPin:
-    """run_sweep holds every OpenBLAS at one thread while its replicates run
+    """run_sweep holds numpy's OpenBLAS at one thread while its replicates run
     and puts the previous counts back however it ends; run_replicate holds
     it when called alone."""
 
@@ -290,6 +295,26 @@ class TestBlasPin:
         with pytest.raises(RuntimeError):
             run_sweep(small_cfg(threads=threads))
         assert blas_threads() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_heap_trimmed_after_every_replicate(monkeypatch, threads):
+    # each trim follows the return of a replicate, whose instance is then
+    # freed; trims that never ran would leave freed matrices resident
+    events = []
+    real = experiments.run_replicate
+
+    def spy(cfg, i, r):
+        out = real(cfg, i, r)
+        events.append("replicate")
+        return out
+
+    monkeypatch.setattr(experiments, "run_replicate", spy)
+    monkeypatch.setattr(experiments, "_trim_heap", lambda: events.append("trim"))
+    run_sweep(small_cfg(n=150, p=90, n_iter=10, replicates=3, threads=threads))
+    assert events.count("replicate") == events.count("trim") == 3
+    if threads == 1:
+        assert events == ["replicate", "trim"] * 3
 
 
 class TestConfigValidation:

@@ -1,9 +1,10 @@
-"""`import mvamp` and the theory functions must not load scipy.
+"""`import mvamp`, the theory functions and dense replicates must not load scipy.
 
-scipy.linalg is imported lazily by the spectral start and the float32
-surrogate product, scipy.sparse by the network sampler and the edge-list
-writer, and scipy.sparse.linalg and scipy.optimize are not used at all.
-The theory path needs only numpy; any scipy module on it would add a large
+scipy.sparse is imported lazily by the network sampler and the edge-list
+writer; scipy.linalg, scipy.sparse.linalg and scipy.optimize are not used
+at all (the spectral start's tridiagonal solve and the float32 surrogate
+product run on numpy and its OpenBLAS).  The theory path and a gaussian
+replicate need only numpy; any scipy module on them would add a large
 share of the package's start-up time and memory.
 """
 
@@ -45,14 +46,17 @@ def test_theory_functions_load_no_scipy_module():
 
 
 def test_replicates_load_no_sparse_linalg():
-    # the spectral start runs its own Lanczos loop: scipy.sparse.linalg,
-    # whose import takes longer than all of `import mvamp`, stays unloaded
+    # the spectral start runs its own Lanczos loop and numpy's eigh, and the
+    # surrogate product numpy's own BLAS: a gaussian sweep loads no scipy
+    # module, and a multilayer one only scipy.sparse for its layers
     small = ("sweep_param='lambda', grid=(2.0,), fixed_value=0.9, replicates=1, "
              "n_iter=5, seed=1")
-    calls = ("from mvamp import ExperimentConfig, run_sweep; "
-             f"run_sweep(ExperimentConfig(family='gaussian', n=200, p=120, {small})); "
-             f"run_sweep(ExperimentConfig(family='multilayer', n=400, p=240, m=2, "
-             f"r_fractions=(0.5, 0.5), p_bar_coeffs=(0.7, 0.6), {small}))")
-    loaded = _scipy_modules_after(calls)
-    assert "'scipy.linalg'" in loaded and "'scipy.sparse'" in loaded
-    assert "scipy.sparse.linalg" not in loaded
+    gaussian = ("from mvamp import ExperimentConfig, run_sweep; "
+                f"run_sweep(ExperimentConfig(family='gaussian', n=200, p=120, {small}))")
+    assert _scipy_modules_after(gaussian) == "[]"
+    multilayer = ("from mvamp import ExperimentConfig, run_sweep; "
+                  f"run_sweep(ExperimentConfig(family='multilayer', n=400, p=240, m=2, "
+                  f"r_fractions=(0.5, 0.5), p_bar_coeffs=(0.7, 0.6), {small}))")
+    loaded = _scipy_modules_after(multilayer)
+    assert "'scipy.sparse'" in loaded
+    assert "'scipy.linalg'" not in loaded and "scipy.sparse.linalg" not in loaded

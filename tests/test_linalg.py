@@ -1,4 +1,6 @@
-import os
+import json
+import platform
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -7,12 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mvamp
+from mvamp import linalg
 from mvamp.exceptions import ConvergenceError
 from mvamp.amp import solve_a0
 from mvamp.linalg import (ComposedSpectralOperator, DenseSymmetricOperator,
                           RectOperator, SparseCenteredOperator, WeightedSumOperator,
                           compose_spectral_operator, leading_eigenpair)
-from mvamp.linalg import _LANCZOS_BASIS, _openblas_thread_calls, _single_threaded_blas
+from mvamp.linalg import _LANCZOS_BASIS, _malloc_trim, _single_threaded_blas
 from mvamp.model import (center_scale_layer, rates_from_lambda, sample_covariates,
                          sample_gaussian_surrogate, sample_labels, sample_sbm_layer,
                          substream)
@@ -346,6 +350,23 @@ class TestDenseProducts:
         assert np.isfinite(out).all()
         assert out.tobytes() == ref.tobytes()
 
+    def test_float32_surrogate_without_ssymv_takes_the_plain_product(self, monkeypatch):
+        # a numpy whose BLAS has no ssymv: the full float32 product, which
+        # agrees with ssymv to round-off and reads the lower triangle too
+        _, T, v, _ = self.operands()
+        n = T.shape[0]
+        clean = T.astype(np.float32)
+        symv = DenseSymmetricOperator(clean, denom=np.sqrt(n)).matvec(v)
+        monkeypatch.setattr(linalg, "_cblas_ssymv", lambda: None)
+        plain = DenseSymmetricOperator(clean, denom=np.sqrt(n)).matvec(v)
+        assert plain.tobytes() == ((clean @ v.astype(np.float32)) / np.sqrt(n)).tobytes()
+        assert np.linalg.norm(plain - symv) <= 1e-6 * np.linalg.norm(symv)
+        poisoned = clean.copy()
+        poisoned[np.tril_indices(n, -1)] = np.nan
+        out = DenseSymmetricOperator(poisoned, denom=np.sqrt(n)).matvec(v)
+        # row 0 has no entry below the diagonal, every other row has one
+        assert np.isfinite(out[0]) and np.isnan(out[1:]).all()
+
 
 class TestSparseCenteredOperator:
     def test_rejects_degenerate_density(self):
@@ -356,16 +377,38 @@ class TestSparseCenteredOperator:
 
 class TestSingleThreadedBlas:
     def test_covers_every_loaded_openblas(self):
-        # scipy's OpenBLAS is loaded by scipy.linalg, which the spectral
-        # start imports (ssymv, eigh_tridiagonal); a pin that found no
-        # library would silently leave BLAS threaded
-        import scipy.linalg  # noqa: F401
+        # a pin that found no library would silently leave BLAS threaded;
+        # scipy's OpenBLAS, which mvamp never calls, must stay unloaded
+        src = str(Path(mvamp.__file__).resolve().parents[1])
+        small = ("sweep_param='lambda', grid=(2.0,), fixed_value=0.9, replicates=1, "
+                 "n_iter=5, seed=1")
+        code = f"""
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from mvamp import ExperimentConfig
+from mvamp.experiments import run_replicate
+from mvamp.linalg import _openblas_thread_calls
+run_replicate(ExperimentConfig(family='gaussian', n=200, p=120, {small}), 0, 0)
+run_replicate(ExperimentConfig(family='multilayer', n=400, p=240, m=2,
+                               r_fractions=(0.5, 0.5), p_bar_coeffs=(0.7, 0.6), {small}), 0, 0)
+maps = open('/proc/self/maps').read().splitlines()
+print(json.dumps({{
+    'found': [os.path.realpath(path) for path, _, _ in _openblas_thread_calls()],
+    'mapped': sorted({{os.path.realpath(line.split()[-1]) for line in maps
+                      if 'openblas' in line.rsplit('/', 1)[-1]}})}}))
+"""
+        out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                             capture_output=True, text=True).stdout
+        libs = json.loads(out)
+        mapped = set(libs["mapped"])
+        assert mapped and mapped <= set(libs["found"])
+        assert not any(Path(path).parent.name == "scipy.libs" for path in mapped)
 
-        found = {os.path.realpath(path) for path, _, _ in _openblas_thread_calls()}
-        mapped = {os.path.realpath(line.split()[-1])
-                  for line in Path("/proc/self/maps").read_text().splitlines()
-                  if "openblas" in line.rsplit("/", 1)[-1]}
-        assert mapped and mapped <= found
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+    def test_heap_trim_finds_malloc_trim(self):
+        # a lookup that found nothing would leave freed matrices resident
+        # without a word
+        assert _malloc_trim() is not None
 
     def test_one_thread_inside_and_counts_restored(self, blas_threads):
         before = blas_threads()
