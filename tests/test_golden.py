@@ -3,8 +3,9 @@
 The sampler tests pin the draws, and tests/test_amp.py pins one step, but
 nothing else pins what a replicate returns, and the acceptance tolerances
 (0.05) would pass a new random stream.  This table pins the mean MSE, mean
-overlap and mean steps of small sweeps of each family (two replicates per
-point, seed 0), and ``theory_limits`` at a few points.
+overlap and mean steps of small sweeps of each family and of both
+single-source spectral starts (two replicates per point, seed 0), and
+``theory_limits`` at a few points.
 
 A value change must update the table and be logged in CHANGES.md.
 
@@ -33,6 +34,12 @@ SWEEPS = {
     "multilayer": dict(family="multilayer", n=800, p=1200, sweep_param="lambda",
                        grid=(3.0,), fixed_value=0.9, m=2, r_fractions=(0.6, 0.4),
                        p_bar_coeffs=(0.7, 0.7)),
+    # single-source spectral starts: the network alone (mu = 0) and the
+    # covariates alone (lambda = 0)
+    "gaussian-network-only": dict(family="gaussian", n=600, p=360, sweep_param="lambda",
+                                  grid=(2.0,), fixed_value=0.0),
+    "gaussian-covariates-only": dict(family="gaussian", n=600, p=360, sweep_param="mu",
+                                     grid=(2.0,), fixed_value=0.0),
     # the revelation start, swept over mu
     "contextual-sbm": dict(family="contextual-sbm", n=800, p=480, sweep_param="mu",
                            grid=(0.5, 1.5), fixed_value=1.2, eps=0.1),
@@ -42,6 +49,8 @@ SWEEPS = {
 ROWS = [
     ("gaussian", 1.5, 0.8423331578690214, 0.515, 67.0),
     ("gaussian", 3.0, 0.312598028676158, 0.8916666666666666, 18.5),
+    ("gaussian-network-only", 2.0, 0.6836938981038578, 0.7016666666666667, 36.5),
+    ("gaussian-covariates-only", 2.0, 0.925409547733282, 0.44333333333333336, 24.0),
     ("multilayer", 3.0, 0.16668203270537413, 0.9450000000000001, 12.0),
     ("contextual-sbm", 0.5, 0.7925643081553282, 0.6012500000000001, 30.0),
     ("contextual-sbm", 1.5, 0.6266424449392929, 0.71375, 22.0),
