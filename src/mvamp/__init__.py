@@ -5,15 +5,14 @@ limits), and a Monte-Carlo harness comparing the two.
 """
 
 from .amp import (AmpRun, AmpState, DenoiserParams, amp_step, denoise_f, denoise_g,
-                  init_spectral, init_zero, onsager_coeffs, run_amp, solve_a0,
-                  spectral_initialize)
+                  init_state, onsager_coeffs, run_amp, solve_a0, spectral_initialize)
 from .exceptions import ConvergenceError, DivergenceError, InfeasibleSnrError, MvampError
 from .experiments import (AggregateResult, ExperimentConfig, ReplicateInstance,
                           ReplicateResult, SeCheckReport, draw_instance, empirical_mse,
                           empirical_overlap, run_replicate, run_sweep)
 from .linalg import (ComposedSpectralOperator, DenseSymmetricOperator, RectOperator,
                      SparseCenteredOperator, SymmetricOperator, WeightedSumOperator,
-                     compose_spectral_operator, leading_eigenpair)
+                     leading_eigenpair)
 from .model import (CommunityLabels, CovariateModel, GaussianSurrogate, LayerParams,
                     RevelationMasks, SbmLayer, center_scale_layer, combine_layers,
                     lambda_from_rates, rates_from_lambda, sample_covariates,

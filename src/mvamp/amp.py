@@ -23,13 +23,13 @@ once the root-mean-square change of q between two steps falls below it.
 
 The denoiser coefficients come from a precomputed SeTrajectory: after
 step 0 the label denoiser is tanh(sqrt(mu / c) u + sqrt(lam) x), and only
-the spike shrinkage follows the predicted overlap z_t.  Two
-initializations are supported: zero iterates with eps-revelation side
-information, and the practical spectral start: sqrt(n) times the leading
-eigenvector of S + a0 B^T B / p, found by a Lanczos loop that stops as
-soon as its coarse tolerance is met (:func:`mvamp.linalg.leading_eigenpair`),
-with the weight a0 from the weight equation solved in closed form by
-:func:`solve_a0`.
+the spike shrinkage follows the predicted overlap z_t.  Both label-orbit
+iterates start from one vector (:func:`init_state`): zeros with
+eps-revelation side information, or the practical spectral start: sqrt(n)
+times the leading eigenvector of S + a0 B^T B / p, found by a Lanczos loop
+that stops as soon as its coarse tolerance is met
+(:func:`mvamp.linalg.leading_eigenpair`), with the weight a0 from the
+weight equation solved in closed form by :func:`solve_a0`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DivergenceError
-from .linalg import RectOperator, SymmetricOperator, compose_spectral_operator, leading_eigenpair
+from .linalg import (ComposedSpectralOperator, RectOperator, SymmetricOperator,
+                     leading_eigenpair)
 from .model import RevelationMasks
 from .state_evolution import DenoiserParams, SeTrajectory
 
@@ -51,8 +52,7 @@ __all__ = [
     "denoise_g",
     "onsager_coeffs",
     "amp_step",
-    "init_zero",
-    "init_spectral",
+    "init_state",
     "run_amp",
     "solve_a0",
     "spectral_initialize",
@@ -101,7 +101,9 @@ def onsager_coeffs(df_du: np.ndarray, df_dx: np.ndarray, dg_dv: np.ndarray,
 class AmpState:
     """Iterates after step t.
 
-    q is the current denoised label vector f_t(u, x); q_prev and m_prev
+    q is the current denoised label vector f_t(u, x), and df_du and df_dx
+    are the derivatives that same :func:`denoise_f` call returned, from
+    which the next step takes its memory coefficients; q_prev and m_prev
     are the lagged denoised vectors entering the memory terms; v is the
     covariate-orbit iterate from which m_prev was computed.
     """
@@ -111,26 +113,20 @@ class AmpState:
     x: np.ndarray
     v: np.ndarray
     q: np.ndarray
+    df_du: np.ndarray
+    df_dx: np.ndarray
     q_prev: np.ndarray
     m_prev: np.ndarray
 
 
-def init_zero(masks: RevelationMasks, traj: SeTrajectory, p: int) -> AmpState:
-    """All-zero iterates; the step-0 denoiser output is the revealed truth."""
-    n = masks.x0.size
-    u = np.zeros(n)
-    x = np.zeros(n)
-    q, _, _ = denoise_f(u, x, masks.x0, masks.mask_x, traj.denoiser_coeffs(0))
-    return AmpState(t=0, u=u, x=x, v=np.zeros(p), q=q,
-                    q_prev=np.zeros(n), m_prev=np.zeros(p))
-
-
-def init_spectral(vec: np.ndarray, masks: RevelationMasks, traj: SeTrajectory,
-                  p: int) -> AmpState:
-    """Start both label-orbit iterates from the spectral vector.  The state
-    holds ``vec`` itself; no step writes into an iterate."""
-    q, _, _ = denoise_f(vec, vec, masks.x0, masks.mask_x, traj.denoiser_coeffs(0))
-    return AmpState(t=0, u=vec, x=vec, v=np.zeros(p), q=q,
+def init_state(vec: np.ndarray, masks: RevelationMasks, traj: SeTrajectory,
+               p: int) -> AmpState:
+    """Step-0 state with both label-orbit iterates at ``vec``: the spectral
+    vector, or zeros for the revelation start, whose step-0 denoiser output
+    is then the revealed truth.  The state holds ``vec`` itself; no step
+    writes into an iterate."""
+    q, df_du, df_dx = denoise_f(vec, vec, masks.x0, masks.mask_x, traj.denoiser_coeffs(0))
+    return AmpState(t=0, u=vec, x=vec, v=np.zeros(p), q=q, df_du=df_du, df_dx=df_dx,
                     q_prev=np.zeros(vec.size), m_prev=np.zeros(p))
 
 
@@ -141,24 +137,23 @@ def amp_step(state: AmpState, sym_op: SymmetricOperator, b_op: RectOperator,
     n, p = state.q.size, b_op.p
     params_t = traj.denoiser_coeffs(t)
     q = state.q
-    sech2 = np.where(masks.mask_x, 0.0, 1.0 - q * q)
     # g_t's derivative does not depend on its argument, so all three memory
     # coefficients are known before v is formed.
     _, dg_dv = denoise_g(state.v, masks.v0, masks.mask_v, params_t)
-    c_t, p_t, d_t = onsager_coeffs(params_t.a * sech2, params_t.b * sech2, dg_dv, n, p)
+    c_t, p_t, d_t = onsager_coeffs(state.df_du, state.df_dx, dg_dv, n, p)
 
     v = b_op.apply(q) - p_t * state.m_prev
     m, _ = denoise_g(v, masks.v0, masks.mask_v, params_t)
 
     u_next = b_op.apply_t(m) - c_t * q
     x_next = sym_op.matvec(q) - d_t * state.q_prev
-    q_next, _, _ = denoise_f(u_next, x_next, masks.x0, masks.mask_x,
-                             traj.denoiser_coeffs(t + 1))
+    q_next, df_du, df_dx = denoise_f(u_next, x_next, masks.x0, masks.mask_x,
+                                     traj.denoiser_coeffs(t + 1))
     if not (np.isfinite(q_next).all() and np.isfinite(u_next).all()
             and np.isfinite(x_next).all() and np.isfinite(v).all()):
         raise DivergenceError(
             f"non-finite iterate produced at step {t + 1}", step=t + 1)
-    return AmpState(t=t + 1, u=u_next, x=x_next, v=v, q=q_next,
+    return AmpState(t=t + 1, u=u_next, x=x_next, v=v, q=q_next, df_du=df_du, df_dx=df_dx,
                     q_prev=q, m_prev=m)
 
 
@@ -182,9 +177,9 @@ def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMask
     """Run at most n_iter steps from ``init`` and return the last denoised
     labels plus diagnostics.
 
-    ``init`` is the start, :func:`init_zero` or :func:`init_spectral`, and
-    has no default: without revealed labels (eps = 0) the zero start is a
-    fixed point, so a run from it would return x_hat = 0.
+    ``init`` is the start, from :func:`init_state`, and has no default:
+    without revealed labels (eps = 0) the zero start is a fixed point, so a
+    run from it would return x_hat = 0.
 
     The trajectory must provide coefficients for n_iter + 1 steps.  The
     loop ends once successive denoised vectors differ by less than
@@ -250,12 +245,14 @@ def solve_a0(lam: float, mu: float, c: float) -> float:
     side of the unsquared equation stays positive.
 
     Undefined when either signal is absent (the initializer then
-    degenerates to a single-source eigenvector problem).
+    degenerates to a single-source eigenvector problem: pass None for the
+    absent operator to :func:`spectral_initialize`).
     """
     if lam <= 0.0 or mu <= 0.0:
         raise ValueError(
             "combination weight is undefined when a signal is absent: "
-            f"lam={lam}, mu={mu}; use the single-source initializer instead")
+            f"lam={lam}, mu={mu}; call spectral_initialize with None for the "
+            "absent operator instead")
     if c <= 0.0:
         raise ValueError(f"aspect ratio c must be positive, got {c}")
     t = mu / (c * lam)
@@ -281,6 +278,6 @@ def spectral_initialize(sym_op: SymmetricOperator | None, b_op: RectOperator | N
     lambda = 1.5: 39 instead of 30 on average), which the saved matvecs
     outweigh.
     """
-    op = compose_spectral_operator(sym_op, b_op, a0)
+    op = ComposedSpectralOperator(sym_op, b_op, a0)
     _, vec = leading_eigenpair(op, tol=tol, rng=rng)
     return np.sqrt(op.n) * vec

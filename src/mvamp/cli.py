@@ -138,8 +138,8 @@ def _field_default(name: str) -> str:
 
 
 OUT_DIR = Opt("out-dir", Path, "mvamp-out", "output directory")
-SEED = Opt("seed", int, "0", "root seed")
-THREADS = Opt("threads", int, "1", "worker threads")
+SEED = Opt("seed", int, _field_default("seed"), "root seed")
+THREADS = Opt("threads", int, _field_default("threads"), "worker threads")
 
 TABLES = {
     "theory": (
@@ -163,9 +163,8 @@ TABLES = {
             "never fire; 0 runs all n-iter steps"),
         Opt("eps", float, _field_default("eps"), "revelation fraction in [0, 1]: 0 runs "
             "the spectral start; > 0 starts from zero iterates with that fraction revealed"),
-        Opt("m", int, _field_default("m"), "number of network layers"),
         Opt("r-fractions", parse_grid, _field_default("r_fractions"),
-            "per-layer strength fractions, summing to 1"),
+            "per-layer strength fractions, summing to 1; one per network layer"),
         Opt("p-bar-coeffs", parse_grid, _field_default("p_bar_coeffs"),
             "per-layer density coefficients k: p_bar=k/sqrt(n)"),
         Opt("svg", _bool, "false", "also write an overlay plot (plot.svg)"),
@@ -311,14 +310,20 @@ def cmd_theory(s: dict[str, Any]) -> int:
     out = s["out-dir"]
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    rows, failed = [], 0
     for f in cfgs:
-        z_star, mmse, xi = theory_limits(f.lam, f.mu, c)
+        try:
+            z_star, mmse, xi = theory_limits(f.lam, f.mu, c)
+        except MvampError as exc:
+            z_star = mmse = xi = np.nan
+            failed += 1
+            print(f"failure at lambda={f.lam!r}, mu={f.mu!r}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
         rows.append([f.lam, f.mu, c, z_star, mmse, detection_possible(f.lam, f.mu, c), xi])
     write_csv(out / "theory.csv",
               ["lambda", "mu", "c", "z_star", "limit_mmse", "detectable", "xi"], rows)
     print(f"wrote {out / 'theory.csv'} ({len(rows)} rows)")
-    return 0
+    return 2 if failed else 0
 
 
 def _export_instance(cfg: ExperimentConfig, out: Path) -> None:
@@ -335,8 +340,9 @@ def cmd_simulate(s: dict[str, Any]) -> int:
     cfg = _checked(
         ExperimentConfig, family=s["family"], n=s["n"], p=s["p"], sweep_param=s["sweep"],
         grid=s["grid"], fixed_value=s["fixed"], replicates=s["replicates"],
-        n_iter=s["n-iter"], stop_tol=s["stop-tol"], seed=s["seed"], eps=s["eps"], m=s["m"],
-        r_fractions=s["r-fractions"], p_bar_coeffs=s["p-bar-coeffs"], threads=s["threads"])
+        n_iter=s["n-iter"], stop_tol=s["stop-tol"], seed=s["seed"], eps=s["eps"],
+        m=len(s["r-fractions"]), r_fractions=s["r-fractions"], p_bar_coeffs=s["p-bar-coeffs"],
+        threads=s["threads"])
     out = s["out-dir"]
     out.mkdir(parents=True, exist_ok=True)
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amp import init_spectral, init_zero, run_amp, solve_a0, spectral_initialize
+from .amp import init_state, run_amp, solve_a0, spectral_initialize
 from .exceptions import MvampError
 from .linalg import DenseSymmetricOperator, RectOperator, _single_threaded_blas, _trim_heap
 from .model import (CommunityLabels, CovariateModel, GaussianSurrogate, RevelationMasks,
@@ -154,7 +154,9 @@ class ExperimentConfig:
         if self.family == "contextual-sbm" and self.m != 1:
             raise ValueError(f"contextual-sbm has one network layer, got m={self.m}")
         if self.family == "gaussian":
-            if (self.m, tuple(self.r_fractions), tuple(self.p_bar_coeffs)) != (1, (1.0,), (0.7,)):
+            layers = (self.m, tuple(self.r_fractions), tuple(self.p_bar_coeffs))
+            if layers != (ExperimentConfig.m, ExperimentConfig.r_fractions,
+                          ExperimentConfig.p_bar_coeffs):
                 raise ValueError("gaussian has no network layers; leave m, r_fractions "
                                  "and p_bar_coeffs at their defaults")
         else:
@@ -287,10 +289,10 @@ def run_replicate(cfg: ExperimentConfig, point_index: int, rep_index: int) -> Re
         sym_op = combine_layers([center_scale_layer(layer) for layer in inst.network],
                                 [r_i for r_i, _ in _layer_specs(cfg)])
 
-    traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=cfg.eps, t_max=cfg.n_iter + 1))
+    traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=cfg.eps, t_max=cfg.n_iter))
 
     if cfg.eps > 0.0:
-        state = init_zero(inst.masks, traj, cfg.p)
+        vec = np.zeros(cfg.n)
     else:
         rng = substream(cfg.seed, point_index, rep_index, _STREAM_INIT)
         if mu == 0:
@@ -299,10 +301,10 @@ def run_replicate(cfg: ExperimentConfig, point_index: int, rep_index: int) -> Re
             vec = spectral_initialize(None, b_op, 1.0, rng)
         else:
             vec = spectral_initialize(sym_op, b_op, solve_a0(lam, mu, cfg.c), rng)
-        state = init_spectral(vec, inst.masks, traj, cfg.p)
 
     x_star = inst.labels.x_star
-    result = run_amp(sym_op, b_op, inst.masks, traj, n_iter=cfg.n_iter, init=state,
+    result = run_amp(sym_op, b_op, inst.masks, traj, n_iter=cfg.n_iter,
+                     init=init_state(vec, inst.masks, traj, cfg.p),
                      x_star=x_star, stop_tol=cfg.stop_tol)
     return ReplicateResult(
         point_index=point_index,
@@ -408,7 +410,7 @@ def se_check_config(lam: float, mu: float, c: float, eps: float, n: int,
         raise ValueError(f"n >= 2, t_max >= 1 and replicates >= 1 required, "
                          f"got {n}, {t_max} and {replicates}")
     # Built for its checks, which name lam, mu, c and eps.
-    SeConfig(lam=lam, mu=mu, c=c, eps=eps, t_max=t_max + 1)
+    SeConfig(lam=lam, mu=mu, c=c, eps=eps, t_max=t_max)
     if eps == 0.0:
         raise ValueError("tracking check requires eps in (0, 1]")
     p = round(n / c)
@@ -428,7 +430,7 @@ def run_se_check(cfg: ExperimentConfig) -> SeCheckReport:
     evolution module docstring)."""
     lam, mu = cfg.point(cfg.grid[0])
     # The theory runs at the realized ratio n / p.
-    traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=cfg.eps, t_max=cfg.n_iter + 1))
+    traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=cfg.eps, t_max=cfg.n_iter))
     trajs = _map_replicates(lambda rep: run_replicate(cfg, 0, rep).overlap_trajectory,
                             range(cfg.replicates), cfg.threads)
     t_max = cfg.n_iter

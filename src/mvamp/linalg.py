@@ -66,7 +66,6 @@ __all__ = [
     "WeightedSumOperator",
     "ComposedSpectralOperator",
     "RectOperator",
-    "compose_spectral_operator",
     "leading_eigenpair",
 ]
 
@@ -233,9 +232,10 @@ class RectOperator:
 class ComposedSpectralOperator(SymmetricOperator):
     """v -> T_op(v) + a0 * B_op.gram(v).
 
-    The second term is the Gram map B^T B v / p; with T_op absent the
-    operator is the pure Gram map (covariate-only initialization).  One
-    matvec reads B once (:meth:`RectOperator.gram`) and, for the float32
+    The second term is the Gram map B^T B v / p.  An absent T_op gives the
+    pure Gram map (covariate-only initialization), and an absent B_op or
+    a0 = 0 gives T's product (network-only initialization).  One matvec
+    reads B once (:meth:`RectOperator.gram`) and, for the float32
     surrogate, the upper triangle of T (:class:`DenseSymmetricOperator`).
     """
 
@@ -259,16 +259,10 @@ class ComposedSpectralOperator(SymmetricOperator):
         return out
 
 
-def compose_spectral_operator(t_op: SymmetricOperator | None, b_op: RectOperator | None,
-                              a0: float) -> SymmetricOperator:
-    """Initializer matrix as a lazy composition (see ComposedSpectralOperator)."""
-    if t_op is not None and (b_op is None or a0 == 0.0):
-        return t_op
-    return ComposedSpectralOperator(t_op, b_op, a0)
-
-
 # Most Lanczos vectors kept at once: 64 n floats, so the solve stays O(n).
 _LANCZOS_BASIS = 64
+# Most matvecs of one solve, restarts included.
+_LANCZOS_MAX_MATVECS = 20_000
 
 
 def _lanczos_cycle(op: SymmetricOperator, basis: np.ndarray, v: np.ndarray, tol: float,
@@ -309,7 +303,7 @@ def _lanczos_cycle(op: SymmetricOperator, basis: np.ndarray, v: np.ndarray, tol:
     return theta, y @ known, met, k + 1
 
 
-def leading_eigenpair(op: SymmetricOperator, tol: float = 1e-10, max_iter: int = 20_000,
+def leading_eigenpair(op: SymmetricOperator, tol: float = 1e-10,
                       rng=None) -> tuple[float, np.ndarray]:
     """Algebraically largest eigenpair of a symmetric operator.
 
@@ -318,7 +312,7 @@ def leading_eigenpair(op: SymmetricOperator, tol: float = 1e-10, max_iter: int =
     (theta, y) of the tridiagonal matrix is tested, and the solve ends once
     the residual estimate |beta y_last| is at most tol |theta|.  A basis
     that reaches ``_LANCZOS_BASIS`` vectors restarts from the current Ritz
-    vector.  ``max_iter`` caps the matvecs of the solve.
+    vector.  ``_LANCZOS_MAX_MATVECS`` caps the matvecs of the solve.
 
     The contract is checked after the solve, on a fresh matvec: the
     eigen-residual satisfies ||op v - theta v|| <= 10 tol max(1, |theta|),
@@ -327,20 +321,19 @@ def leading_eigenpair(op: SymmetricOperator, tol: float = 1e-10, max_iter: int =
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"need at least one matvec, got max_iter={max_iter}")
     rng = np.random.default_rng(rng)
     basis = np.empty((min(op.n, _LANCZOS_BASIS), op.n))
     v = rng.standard_normal(op.n)
     matvecs = 0
     while True:
-        theta, v, met, spent = _lanczos_cycle(op, basis, v, tol, max_iter - matvecs)
+        theta, v, met, spent = _lanczos_cycle(op, basis, v, tol, _LANCZOS_MAX_MATVECS - matvecs)
         matvecs += spent
         if met:
             break
-        if matvecs >= max_iter:
-            raise ConvergenceError(f"Lanczos did not converge in {max_iter} matvecs",
-                                   iterations=max_iter)
+        if matvecs >= _LANCZOS_MAX_MATVECS:
+            raise ConvergenceError(
+                f"Lanczos did not converge in {_LANCZOS_MAX_MATVECS} matvecs",
+                iterations=_LANCZOS_MAX_MATVECS)
     v /= np.linalg.norm(v)
     residual = float(np.linalg.norm(op.matvec(v) - theta * v))
     if residual > 10.0 * tol * max(1.0, abs(theta)):

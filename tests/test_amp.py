@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import ssymv
 
-from mvamp.amp import (AmpState, DenoiserParams, amp_step, denoise_f, denoise_g,
-                       init_spectral, init_zero, onsager_coeffs, run_amp, solve_a0,
-                       spectral_initialize)
+from mvamp.amp import (DenoiserParams, amp_step, denoise_f, denoise_g, init_state,
+                       onsager_coeffs, run_amp, solve_a0, spectral_initialize)
 from mvamp.exceptions import DivergenceError
 from mvamp.experiments import empirical_mse
 from mvamp.linalg import DenseSymmetricOperator, RectOperator
@@ -155,7 +154,7 @@ class TestAmpStep:
         lab, _, cov, _, sym_op, b_op, _ = small_instance(n, p, eps=0.25)
         masks = sample_revelation(lab, cov.v_star, 0.0, substream(99, 0))
         traj = se_run(SeConfig(lam=2.0, mu=1.0, c=n / p, eps=0.0, t_max=6))
-        state = init_zero(masks, traj, p)
+        state = init_state(np.zeros(n), masks, traj, p)
         for _ in range(3):
             state = amp_step(state, sym_op, b_op, masks, traj)
         np.testing.assert_array_equal(state.q, np.zeros(n))
@@ -169,7 +168,7 @@ class TestAmpStep:
         reads the upper triangle of T by BLAS ssymv."""
         n, p = 8, 5
         lab, surr, cov, masks, sym_op, b_op, traj = small_instance(n, p)
-        state = init_zero(masks, traj, p)
+        state = init_state(np.zeros(n), masks, traj, p)
         s1 = amp_step(state, sym_op, b_op, masks, traj)
         s2 = amp_step(s1, sym_op, b_op, masks, traj)
 
@@ -214,7 +213,7 @@ class TestAmpStep:
             traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=0.0, t_max=4))
             a0 = solve_a0(lam, mu, n / p)
             vec = spectral_initialize(sym_op, b_op, a0, substream(200 + rep, 4), tol=1e-5)
-            state = init_spectral(vec, masks, traj, p)
+            state = init_state(vec, masks, traj, p)
             ov0 = abs(np.dot(state.q, lab.x_star)) / n
             state = amp_step(state, sym_op, b_op, masks, traj)
             ov1 = abs(np.dot(state.q, lab.x_star)) / n
@@ -229,7 +228,7 @@ class TestAmpStep:
         lab, surr, cov, masks, sym_op, b_op, traj = small_instance(n, p)
         bad = cov.B.copy()
         bad[2, 3] = np.inf
-        state = init_zero(masks, traj, p)
+        state = init_state(np.zeros(n), masks, traj, p)
         with pytest.warns(RuntimeWarning, match="invalid value"), \
                 pytest.raises(DivergenceError) as err:
             s = state
@@ -245,7 +244,7 @@ class TestRunAmp:
         masks = sample_revelation(lab, cov.v_star, 1.0, substream(21, 5))
         traj = se_run(SeConfig(lam=2.0, mu=1.0, c=n / p, eps=1.0, t_max=3))
         out = run_amp(sym_op, b_op, masks, traj, n_iter=1,
-                      init=init_zero(masks, traj, p), x_star=lab.x_star)
+                      init=init_state(np.zeros(n), masks, traj, p), x_star=lab.x_star)
         np.testing.assert_array_equal(out.x_hat, lab.x_star)
         assert empirical_mse(out.x_hat, lab.x_star) == 0.0
 
@@ -258,7 +257,8 @@ class TestRunAmp:
         b_op = RectOperator(cov.B.astype(np.float64))
         traj = se_run(SeConfig(lam=3.0, mu=1.0, c=n / p, eps=0.25, t_max=101))
         out = run_amp(sym_op, b_op, masks, traj, n_iter=100,
-                      init=init_zero(masks, traj, p), x_star=lab.x_star, stop_tol=1e-8)
+                      init=init_state(np.zeros(n), masks, traj, p), x_star=lab.x_star,
+                      stop_tol=1e-8)
         assert out.n_steps < 100
         assert len(out.overlap) == out.n_steps + 1
 
@@ -269,14 +269,14 @@ class TestRunAmp:
         _, _, _, masks, sym_op, b_op, traj = small_instance(n, p)
         with pytest.raises(ValueError, match="stop_tol"):
             run_amp(sym_op, b_op, masks, traj, n_iter=3,
-                    init=init_zero(masks, traj, p), stop_tol=tol)
+                    init=init_state(np.zeros(n), masks, traj, p), stop_tol=tol)
 
     def test_trajectory_length_guard(self):
         n, p = 8, 5
         _, _, _, masks, sym_op, b_op, traj = small_instance(n, p)
         with pytest.raises(ValueError):
             run_amp(sym_op, b_op, masks, traj, n_iter=len(traj),
-                    init=init_zero(masks, traj, p))
+                    init=init_state(np.zeros(n), masks, traj, p))
 
     def test_init_is_required(self):
         # the zero start is a fixed point at eps = 0 (test_zero_fixed_point),
@@ -300,10 +300,10 @@ class TestRunAmp:
         vec = spectral_initialize(sym_op, b_op, solve_a0(lam, mu, n / p),
                                   substream(23, 4), tol=1e-6)
         out_plus = run_amp(sym_op, b_op, masks, traj, n_iter=5,
-                           init=init_spectral(vec, masks, traj, p),
+                           init=init_state(vec, masks, traj, p),
                            x_star=lab.x_star)
         out_minus = run_amp(sym_op, b_op, masks, traj, n_iter=5,
-                            init=init_spectral(-vec, masks, traj, p),
+                            init=init_state(-vec, masks, traj, p),
                             x_star=lab.x_star)
         np.testing.assert_array_equal(out_minus.x_hat, -out_plus.x_hat)
         assert (empirical_mse(out_minus.x_hat, lab.x_star)
@@ -322,7 +322,7 @@ class TestRunAmp:
                                  v0=masks.v0, mask_v=masks.mask_v)
             sym = DenseSymmetricOperator(T, denom=np.sqrt(n))
             return run_amp(sym, RectOperator(B), mm, traj, n_iter=3,
-                           init=init_zero(mm, traj, p)).x_hat
+                           init=init_state(np.zeros(n), mm, traj, p)).x_hat
 
         # float64 copies: a float32 product summed in another order differs
         # by float32 round-off, far above the 1e-10 this test resolves

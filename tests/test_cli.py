@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mvamp import state_evolution
+from mvamp import cli, state_evolution
 from mvamp.cli import TABLES, main, parse_grid, UsageError
+from mvamp.exceptions import ConvergenceError
 from mvamp.experiments import ExperimentConfig, draw_instance
 from mvamp.model import write_covariates_csv, write_edge_list, write_labels_csv
 
@@ -69,6 +70,31 @@ class TestTheoryCommand:
             run_cli("theory", "--lambda-grid", "0.5:3:6", "--mu-grid", "0,1",
                     "--c", "2", "--out-dir", str(out))
         assert (a / "theory.csv").read_bytes() == (b / "theory.csv").read_bytes()
+
+    def test_failing_row_is_recorded_and_the_others_written(self, tmp_path, monkeypatch,
+                                                           capsys):
+        args = ("theory", "--lambda-grid", "0.5,1,2", "--mu-grid", "0.9", "--c", "1.5")
+        ref, out = tmp_path / "ref", tmp_path / "o"
+        assert run_cli(*args, "--out-dir", str(ref)) == 0
+        solve = cli.theory_limits
+
+        def fail_at_one(lam, mu, c):
+            if lam == 1.0:
+                raise ConvergenceError("no fixed point", iterations=10)
+            return solve(lam, mu, c)
+
+        monkeypatch.setattr("mvamp.cli.theory_limits", fail_at_one)
+        capsys.readouterr()
+        assert run_cli(*args, "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "lambda=1.0, mu=0.9" in err
+        got, want = ((d / "theory.csv").read_text().splitlines() for d in (out, ref))
+        assert len(got) == len(want) == 4
+        assert [got[i] for i in (0, 1, 3)] == [want[i] for i in (0, 1, 3)]
+        failed, unpatched = got[2].split(","), want[2].split(",")
+        assert failed[:3] == unpatched[:3] and failed[5] == unpatched[5]  # detectable kept
+        assert [failed[i] for i in (3, 4, 6)] == ["nan"] * 3
+        assert (out / "config_used.ini").exists()
 
     def test_missing_args_is_usage_error(self, tmp_path):
         assert run_cli("theory", "--mu-grid", "1", "--c", "1",
@@ -162,7 +188,7 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--out-dir", str(tmp_path / "o")) == 0
         (cfg,) = built
         for name in ("n_iter", "stop_tol", "replicates", "eps", "m", "r_fractions",
-                     "p_bar_coeffs"):
+                     "p_bar_coeffs", "seed", "threads"):
             assert getattr(cfg, name) == getattr(ExperimentConfig, name), name
 
     def test_twelve_significant_digits(self, tmp_path):
@@ -273,7 +299,7 @@ class TestSimulateCommand:
 
     def test_exported_instance_is_the_replicate_instance(self, tmp_path):
         out = tmp_path / "o"
-        assert run_cli("simulate", "--family", "multilayer", "--m", "2",
+        assert run_cli("simulate", "--family", "multilayer",
                        "--r-fractions", "0.6,0.4", "--p-bar-coeffs", "0.9,0.6",
                        "--n", "300", "--p", "150", "--grid", "2.0,3.0", "--fixed", "0.9",
                        "--replicates", "1", "--n-iter", "5", "--seed", "11",
@@ -386,8 +412,11 @@ def test_unknown_subcommand_is_usage_error():
     (("simulate", "--family", "contextual-sbm", "--p-bar-coeffs", "0.7,0.3",
       "--n", "100", "--p", "60", "--replicates", "1"), None),
     (("simulate",), "seed = 3\n"),
-    (("simulate", "--family", "gaussian", "--m", "3", "--r-fractions", "0.5",
+    (("simulate", "--family", "gaussian", "--r-fractions", "0.5",
       "--p-bar-coeffs", "9", "--n", "100", "--p", "60", "--replicates", "1"), None),
+    (("simulate", "--family", "multilayer", "--m", "2", "--r-fractions", "0.6,0.4",
+      "--p-bar-coeffs", "0.7,0.7", "--n", "100", "--p", "60", "--replicates", "1"), None),
+    (("simulate", "--n", "100", "--p", "60", "--replicates", "1"), "[simulate]\nm = 1\n"),
     (("simulate", "--stop-tol", "-1", "--n", "100", "--p", "60", "--replicates", "1"), None),
     (("simulate", "--stop-tol", "nan", "--n", "100", "--p", "60", "--replicates", "1"), None),
     (("simulate", "--eps", "nan", "--n", "100", "--p", "60", "--replicates", "1"), None),
