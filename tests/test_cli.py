@@ -83,7 +83,7 @@ class TestTheoryCommand:
                 raise ConvergenceError("no fixed point", iterations=10)
             return solve(lam, mu, c)
 
-        monkeypatch.setattr("mvamp.cli.theory_limits", fail_at_one)
+        monkeypatch.setattr(cli, "theory_limits", fail_at_one)
         capsys.readouterr()
         assert run_cli(*args, "--out-dir", str(out)) == 2
         err = capsys.readouterr().err
@@ -414,9 +414,6 @@ def test_unknown_subcommand_is_usage_error():
     (("simulate",), "seed = 3\n"),
     (("simulate", "--family", "gaussian", "--r-fractions", "0.5",
       "--p-bar-coeffs", "9", "--n", "100", "--p", "60", "--replicates", "1"), None),
-    (("simulate", "--family", "multilayer", "--m", "2", "--r-fractions", "0.6,0.4",
-      "--p-bar-coeffs", "0.7,0.7", "--n", "100", "--p", "60", "--replicates", "1"), None),
-    (("simulate", "--n", "100", "--p", "60", "--replicates", "1"), "[simulate]\nm = 1\n"),
     (("simulate", "--stop-tol", "-1", "--n", "100", "--p", "60", "--replicates", "1"), None),
     (("simulate", "--stop-tol", "nan", "--n", "100", "--p", "60", "--replicates", "1"), None),
     (("simulate", "--eps", "nan", "--n", "100", "--p", "60", "--replicates", "1"), None),
@@ -430,6 +427,9 @@ def test_unknown_subcommand_is_usage_error():
       "--replicates", "1"), None),
     (("se-check", "--lambda", "nan", "--n", "100", "--replicates", "1"), None),
     (("se-check", "--n", "1", "--replicates", "1"), None),
+    (("simulate", "--family", "multilayer", "--m", "2", "--r-fractions", "0.6,0.4",
+      "--p-bar-coeffs", "0.7,0.7", "--n", "100", "--p", "60", "--replicates", "1"), None),
+    (("simulate", "--n", "100", "--p", "60", "--replicates", "1"), "[simulate]\nm = 1\n"),
 ])
 def test_bad_input_is_usage_error_without_output(tmp_path, capsys, args, ini):
     if ini is not None:
