@@ -9,7 +9,7 @@ import pytest
 
 import mvamp
 from mvamp import amp, experiments
-from mvamp.exceptions import ConvergenceError
+from mvamp.exceptions import ConvergenceError, InfeasibleSnrError
 from mvamp.experiments import (ExperimentConfig, empirical_mse, empirical_overlap,
                                run_replicate, run_se_check, run_sweep, se_check_config)
 from mvamp.state_evolution import SeConfig, limit_mmse, se_run
@@ -235,6 +235,26 @@ class TestRunSweep:
         assert np.isfinite(edge.mean_mse)
         assert strong.errors == []
         assert strong.theory_mmse == limit_mmse(3.0, 0.9, cfg.c)
+
+    def test_infeasible_layer_strength_is_recorded(self):
+        # at lambda = 2000 the first layer's strength 0.6 * 2000 exceeds the
+        # largest its density 0.7 / sqrt(800) carries; that row records the
+        # failure and the lambda = 3 row still runs
+        cfg = ExperimentConfig(family="multilayer", n=800, p=1200, sweep_param="lambda",
+                               grid=(3.0, 2000.0), fixed_value=0.9, replicates=1, n_iter=5,
+                               m=3, r_fractions=(0.6, 0.2, 0.2), p_bar_coeffs=(0.7, 0.4, 0.3))
+        with pytest.warns(UserWarning, match="average degree"):
+            feasible, infeasible = run_sweep(cfg)
+        assert feasible.errors == [] and np.isfinite(feasible.mean_mse)
+        assert len(infeasible.errors) == 1
+        assert "InfeasibleSnrError" in infeasible.errors[0]
+        assert "20.3014" in infeasible.errors[0]
+        assert np.isnan(infeasible.mean_mse)
+        with pytest.raises(InfeasibleSnrError) as err:
+            experiments.draw_instance(cfg, 1, 0)
+        p_bar = 0.7 / np.sqrt(800)
+        assert err.value.lambda_max == pytest.approx(800 * p_bar / (1 - p_bar))
+        assert err.value.lambda_max == pytest.approx(20.3014, abs=1e-4)
 
 
 class TestBlasPin:

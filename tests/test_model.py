@@ -64,6 +64,13 @@ class TestRates:
             rates_from_lambda(1e6, 0.01, 1000)
         assert err.value.lambda_max == pytest.approx(1000 * 0.01 / 0.99)
 
+    def test_infeasible_strength_above_half_density_names_maximum(self):
+        # above p_bar = 1/2 the within-group rate reaches one first
+        n = 100
+        with pytest.raises(InfeasibleSnrError) as err:
+            rates_from_lambda(n / 4 + 1.0, 0.8, n)
+        assert err.value.lambda_max == pytest.approx(n / 4)
+
     def test_rate_ordering_enforced(self):
         p = rates_from_lambda(1.0, 0.1, 100)
         bad = object.__new__(type(p))
