@@ -15,10 +15,9 @@ from .linalg import (ComposedSpectralOperator, DenseSymmetricOperator, RectOpera
                      leading_eigenpair)
 from .model import (CommunityLabels, CovariateModel, GaussianSurrogate, LayerParams,
                     RevelationMasks, SbmLayer, center_scale_layer, combine_layers,
-                    lambda_from_rates, rates_from_lambda, sample_covariates,
-                    sample_gaussian_surrogate, sample_labels, sample_revelation,
-                    sample_sbm_layer, substream, write_covariates_csv, write_edge_list,
-                    write_labels_csv)
+                    rates_from_lambda, sample_covariates, sample_gaussian_surrogate,
+                    sample_labels, sample_revelation, sample_sbm_layer, substream,
+                    write_covariates_csv, write_edge_list, write_labels_csv)
 from .scalar_channel import (QuadratureRule, gauss_hermite_rule, log_cosh, scalar_mi,
                              scalar_mmse)
 from .state_evolution import (SeConfig, SeTrajectory, detection_possible, fixed_point_z,

@@ -111,9 +111,10 @@ class ExperimentConfig:
     between two steps falls below ``stop_tol``; ``stop_tol = 0`` runs all
     ``n_iter`` steps.  ``r_fractions`` must be positive and sum to
     one; layer i gets strength r_i * lambda and density
-    p_bar_coeffs[i] / sqrt(n) in (0, 1).  ``contextual-sbm`` has one layer
-    (m = 1); ``gaussian`` has no network layers and rejects m,
-    r_fractions and p_bar_coeffs other than their defaults.
+    p_bar_coeffs[i] / sqrt(n) in (0, 1).  ``m`` is the number of layers,
+    one per entry of both tuples.  ``contextual-sbm`` has one layer;
+    ``gaussian`` has no network layers and rejects m, r_fractions and
+    p_bar_coeffs other than their defaults.
     """
 
     family: str
@@ -151,17 +152,24 @@ class ExperimentConfig:
             raise ValueError(f"threads must be a positive integer, got {self.threads}")
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"revelation fraction eps must lie in [0, 1], got {self.eps}")
-        if self.family == "contextual-sbm" and self.m != 1:
-            raise ValueError(f"contextual-sbm has one network layer, got m={self.m}")
+        sizes = (len(self.r_fractions), len(self.p_bar_coeffs))
+        counts = f"got {sizes[0]} r_fractions and {sizes[1]} p_bar_coeffs"
+        if self.m != sizes[0]:
+            raise ValueError(f"{self.family}: m={self.m} must be the number of layers, "
+                             f"{counts}")
         if self.family == "gaussian":
-            layers = (self.m, tuple(self.r_fractions), tuple(self.p_bar_coeffs))
-            if layers != (ExperimentConfig.m, ExperimentConfig.r_fractions,
-                          ExperimentConfig.p_bar_coeffs):
-                raise ValueError("gaussian has no network layers; leave m, r_fractions "
-                                 "and p_bar_coeffs at their defaults")
+            layers = (tuple(self.r_fractions), tuple(self.p_bar_coeffs))
+            if layers != (ExperimentConfig.r_fractions, ExperimentConfig.p_bar_coeffs):
+                raise ValueError("gaussian has no network layers; leave r_fractions and "
+                                 f"p_bar_coeffs at their defaults, got {layers[0]} and "
+                                 f"{layers[1]}")
         else:
-            if self.m < 1 or len(self.r_fractions) != self.m or len(self.p_bar_coeffs) != self.m:
-                raise ValueError(f"{self.family} needs m matching r_fractions and p_bar_coeffs")
+            if self.family == "contextual-sbm" and sizes != (1, 1):
+                raise ValueError("contextual-sbm has one network layer: give one r_fractions "
+                                 f"value and one p_bar_coeffs value, {counts}")
+            if not sizes[0] == sizes[1] >= 1:
+                raise ValueError(f"{self.family} needs one r_fractions value and one "
+                                 f"p_bar_coeffs value per layer, {counts}")
             if not all(r > 0 for r in self.r_fractions):
                 raise ValueError("strength fractions must be positive")
             if not abs(sum(self.r_fractions) - 1.0) <= 1e-12:

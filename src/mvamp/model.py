@@ -62,7 +62,6 @@ __all__ = [
     "substream",
     "sample_labels",
     "rates_from_lambda",
-    "lambda_from_rates",
     "sample_sbm_layer",
     "sample_covariates",
     "sample_gaussian_surrogate",
@@ -122,72 +121,54 @@ def sample_labels(n: int, rng) -> CommunityLabels:
 
 @dataclass(frozen=True)
 class LayerParams:
-    """Edge rates of one network layer.
+    """One network layer of n subjects: signal strength lambda_i at mean
+    edge density p_bar.
 
-    a_n / n and b_n / n are the within/between-group edge probabilities;
-    p_bar is the mean density, delta the half-gap, lambda_i the layer
-    signal strength.  Rates are kept as reals, not integer counts.
+    The rates follow from these three.  The half-gap is
+    delta = sqrt(lambda_i p_bar (1 - p_bar) / n), and a_n / n = p_bar + delta
+    and b_n / n = p_bar - delta are the within/between-group edge
+    probabilities: the strength formula of the module docstring solved at
+    a_n + b_n = 2 n p_bar.  Rates are reals, not integer counts.  Raises
+    InfeasibleSnrError, naming the largest feasible strength
+    n min(p_bar, 1 - p_bar)^2 / (p_bar (1 - p_bar)), when b_n / n is not
+    positive or a_n / n exceeds one.
     """
 
     lambda_i: float
     p_bar: float
-    delta: float
-    a_n: float
-    b_n: float
+    n: int
 
     def __post_init__(self):
+        if not (self.lambda_i >= 0.0 and self.n >= 1):
+            raise ValueError(f"need strength lambda_i >= 0 and n >= 1 subjects, "
+                             f"got {self.lambda_i} and {self.n}")
         if not 0.0 < self.p_bar < 1.0:
             raise ValueError(f"mean density must lie in (0, 1), got {self.p_bar}")
-        if not 0.0 <= self.delta < self.p_bar:
-            raise ValueError(f"half-gap must lie in [0, p_bar), got {self.delta}")
-        if self.b_n < 0.0 or self.a_n < self.b_n:
-            raise ValueError("need a_n >= b_n >= 0")
-        n = (self.a_n + self.b_n) / (2.0 * self.p_bar)
-        lam = n * self.delta ** 2 / (self.p_bar * (1.0 - self.p_bar))
-        if abs(self.a_n - n * (self.p_bar + self.delta)) > 1e-8 * max(1.0, self.a_n) \
-                or abs(self.lambda_i - lam) > 1e-8 * max(1.0, lam):
-            raise ValueError("inconsistent layer parameters: rates, density, "
-                             "half-gap and strength must describe one layer")
+        if self.delta >= self.p_bar or self.p_bar + self.delta > 1.0:
+            lam_max = (self.n * min(self.p_bar, 1.0 - self.p_bar) ** 2
+                       / (self.p_bar * (1.0 - self.p_bar)))
+            raise InfeasibleSnrError(
+                f"lambda={self.lambda_i} infeasible at p_bar={self.p_bar}, n={self.n}: "
+                f"the edge probabilities p_bar - delta and p_bar + delta must lie in "
+                f"(0, 1]; largest feasible lambda is {lam_max:.6g}", lambda_max=lam_max)
+
+    @property
+    def delta(self) -> float:
+        return float(np.sqrt(self.lambda_i * self.p_bar * (1.0 - self.p_bar) / self.n))
+
+    @property
+    def a_n(self) -> float:
+        return self.n * (self.p_bar + self.delta)
+
+    @property
+    def b_n(self) -> float:
+        return self.n * (self.p_bar - self.delta)
 
 
 def rates_from_lambda(lambda_i: float, p_bar: float, n: int) -> LayerParams:
-    """Edge rates realizing signal strength lambda_i at density p_bar.
-
-    Inverts the strength formula through delta = sqrt(lambda p_bar (1 - p_bar) / n).
-    Raises InfeasibleSnrError (naming the largest feasible strength) when
-    the implied half-gap reaches the density itself.
-    """
-    if lambda_i < 0.0:
-        raise ValueError(f"signal strength must be nonnegative, got {lambda_i}")
-    if not 0.0 < p_bar < 1.0:
-        raise ValueError(f"mean density must lie in (0, 1), got {p_bar}")
-    delta = np.sqrt(lambda_i * p_bar * (1.0 - p_bar) / n)
-    if delta >= p_bar:
-        lam_max = n * p_bar / (1.0 - p_bar)
-        raise InfeasibleSnrError(
-            f"lambda={lambda_i} infeasible at p_bar={p_bar}, n={n}: the "
-            f"implied rate gap reaches zero edge probability; largest "
-            f"feasible lambda is {lam_max:.6g}", lambda_max=lam_max)
-    if p_bar + delta > 1.0:
-        lam_max = n * (1.0 - p_bar) / p_bar
-        raise InfeasibleSnrError(
-            f"lambda={lambda_i} infeasible at p_bar={p_bar}, n={n}: the "
-            f"implied within-group rate exceeds one; largest feasible "
-            f"lambda is {lam_max:.6g}", lambda_max=lam_max)
-    return LayerParams(lambda_i=float(lambda_i), p_bar=float(p_bar), delta=float(delta),
-                       a_n=float(n * (p_bar + delta)), b_n=float(n * (p_bar - delta)))
-
-
-def lambda_from_rates(params: LayerParams, n: int) -> float:
-    """Signal strength n (a-b)^2 / ((a+b)(2n-a-b)) of a layer."""
-    a, b = params.a_n, params.b_n
-    if a < b:
-        raise ValueError(f"within-group rate must dominate: a_n={a} < b_n={b}")
-    if a == b:
-        return 0.0
-    if a > n:
-        raise ValueError(f"a_n={a} exceeds n={n}")
-    return n * (a - b) ** 2 / ((a + b) * (2.0 * n - a - b))
+    """The layer of strength lambda_i at density p_bar among n subjects; see
+    LayerParams for its rates and when it raises InfeasibleSnrError."""
+    return LayerParams(float(lambda_i), float(p_bar), n)
 
 
 @dataclass(frozen=True)
@@ -228,10 +209,10 @@ def sample_sbm_layer(x_star: CommunityLabels, params: LayerParams, rng) -> SbmLa
     memory is O(n + edges) rather than O(n^2).
     """
     n = x_star.n
+    if params.n != n:
+        raise ValueError(f"layer parameters are for n={params.n} subjects, "
+                         f"the labels have {n}")
     p_in, p_out = params.a_n / n, params.b_n / n
-    if not (0.0 <= p_out <= p_in <= 1.0):
-        raise ValueError(
-            f"edge probabilities outside [0, 1]: a_n/n={p_in}, b_n/n={p_out}")
     from scipy import sparse
 
     rng = _as_rng(rng)
@@ -511,19 +492,18 @@ def center_scale_layer(layer: SbmLayer) -> SparseCenteredOperator:
     return SparseCenteredOperator(layer.adjacency, layer.params.p_bar)
 
 
-def combine_layers(ops: list[SymmetricOperator], lambdas: list[float]) -> SymmetricOperator:
-    """Weighted combination sum_i sqrt(lambda_i / lambda) A_i of layer operators."""
-    if len(ops) == 0:
-        raise ValueError("need at least one layer")
-    if len(ops) != len(lambdas):
-        raise ValueError("one strength per operator required")
+def combine_layers(ops: list[SymmetricOperator], lambdas: list[float]) -> WeightedSumOperator:
+    """Weighted combination sum_i sqrt(lambda_i / lambda) A_i of layer
+    operators, with lambda = sum_i lambda_i.
+
+    A single layer gets weight 1.0, so its product equals its operator's
+    bit for bit.  WeightedSumOperator checks that there is at least one
+    operator, one strength per operator, and one dimension.
+    """
     if any(l <= 0 for l in lambdas):
         raise ValueError("all layer strengths must be positive")
     total = float(sum(lambdas))
-    weights = [np.sqrt(l / total) for l in lambdas]
-    if len(ops) == 1:
-        return ops[0]
-    return WeightedSumOperator(ops, weights)
+    return WeightedSumOperator(ops, [np.sqrt(l / total) for l in lambdas])
 
 
 def write_edge_list(layer: SbmLayer, path) -> None:

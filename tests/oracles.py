@@ -35,6 +35,16 @@ def bisect_fixed_point(g, lo: float = 1e-14, hi: float = 1.0,
     return 0.5 * (lo + hi)
 
 
+def lambda_from_rates(a_n: float, b_n: float, n: int) -> float:
+    """The paper's layer strength n (a - b)^2 / ((a + b)(2n - a - b)) at
+    within/between-group rates a_n >= b_n (edge probabilities a_n / n and
+    b_n / n), written directly from the formula."""
+    if not 0.0 <= b_n <= a_n <= n or a_n == 0.0:
+        raise ValueError(f"need 0 <= b_n <= a_n <= n and a_n > 0, got a_n={a_n}, "
+                         f"b_n={b_n}, n={n}")
+    return n * (a_n - b_n) ** 2 / ((a_n + b_n) * (2.0 * n - a_n - b_n))
+
+
 def scalar_map(lam: float, mu: float, c: float, eps: float = 0.0):
     """The plain state-evolution map, written directly from its formula."""
 

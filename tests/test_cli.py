@@ -430,6 +430,8 @@ def test_unknown_subcommand_is_usage_error():
     (("simulate", "--family", "multilayer", "--m", "2", "--r-fractions", "0.6,0.4",
       "--p-bar-coeffs", "0.7,0.7", "--n", "100", "--p", "60", "--replicates", "1"), None),
     (("simulate", "--n", "100", "--p", "60", "--replicates", "1"), "[simulate]\nm = 1\n"),
+    (("simulate", "--family", "contextual-sbm", "--r-fractions", "0.5,0.5",
+      "--p-bar-coeffs", "0.7,0.7", "--n", "100", "--p", "60", "--replicates", "1"), None),
 ])
 def test_bad_input_is_usage_error_without_output(tmp_path, capsys, args, ini):
     if ini is not None:
@@ -440,6 +442,21 @@ def test_bad_input_is_usage_error_without_output(tmp_path, capsys, args, ini):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family,fractions,coeffs", [
+    ("contextual-sbm", "0.5,0.5", "0.7,0.7"),
+    ("multilayer", "0.5,0.5", "0.7"),
+    ("gaussian", "0.5,0.5", "0.7,0.7"),
+])
+def test_layer_errors_name_the_settings_simulate_has(tmp_path, capsys, family, fractions,
+                                                     coeffs):
+    # simulate counts the layers from --r-fractions; it has no m to name
+    assert run_cli("simulate", "--family", family, "--r-fractions", fractions,
+                   "--p-bar-coeffs", coeffs, "--n", "100", "--p", "60", "--replicates", "1",
+                   "--out-dir", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert "r_fractions" in err and "p_bar_coeffs" in err and "m=" not in err
 
 
 @pytest.mark.parametrize("args,named,unnamed", [

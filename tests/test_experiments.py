@@ -222,10 +222,18 @@ class TestRunSweep:
         assert aggs[1].lam == 2.0 and aggs[1].mu == 1.5
 
 
-    def test_failed_theory_point_is_recorded(self):
-        # just above the threshold the fixed-point iteration hits its cap;
-        # that row records the failure and the other rows are kept
+    def test_failed_theory_point_is_recorded(self, monkeypatch):
+        # the theory column fails at one grid value; that row records the
+        # failure and keeps its replicates, and the other rows are kept
         lam_edge = 1.0 - 0.81 / (5.0 / 3.0) + 1e-4
+        real_limit = experiments.limit_mmse
+
+        def limit_mmse_failing_at_edge(lam, mu, c, eps=0.0):
+            if lam == lam_edge:
+                raise ConvergenceError("fixed point not reached", residual=1e-9)
+            return real_limit(lam, mu, c, eps)
+
+        monkeypatch.setattr(experiments, "limit_mmse", limit_mmse_failing_at_edge)
         cfg = ExperimentConfig(family="gaussian", n=200, p=120, sweep_param="lambda",
                                grid=(lam_edge, 3.0), fixed_value=0.9, replicates=1,
                                n_iter=5)
@@ -234,7 +242,7 @@ class TestRunSweep:
         assert len(edge.errors) == 1 and "ConvergenceError" in edge.errors[0]
         assert np.isfinite(edge.mean_mse)
         assert strong.errors == []
-        assert strong.theory_mmse == limit_mmse(3.0, 0.9, cfg.c)
+        assert strong.theory_mmse == real_limit(3.0, 0.9, cfg.c)
 
     def test_infeasible_layer_strength_is_recorded(self):
         # at lambda = 2000 the first layer's strength 0.6 * 2000 exceeds the

@@ -8,13 +8,13 @@ from scipy import sparse
 
 from mvamp.exceptions import InfeasibleSnrError
 from mvamp.model import (CommunityLabels, LayerParams, center_scale_layer, combine_layers,
-                         lambda_from_rates, rates_from_lambda, sample_covariates,
-                         sample_gaussian_surrogate, sample_labels, sample_revelation,
-                         sample_sbm_layer, substream, write_edge_list)
+                         rates_from_lambda, sample_covariates, sample_gaussian_surrogate,
+                         sample_labels, sample_revelation, sample_sbm_layer, substream,
+                         write_edge_list)
 from mvamp import model
 from mvamp.model import _normal_fill, _unrank_within
 
-from oracles import box_muller_block
+from oracles import box_muller_block, lambda_from_rates
 
 
 class TestLabels:
@@ -57,7 +57,8 @@ class TestRates:
         for lam in (0.1, 0.5, 1.0, 2.0, 3.0, 4.0):
             for p_bar in (0.7 / np.sqrt(n), 0.05, 0.3):
                 params = rates_from_lambda(lam, p_bar, n)
-                assert abs(lambda_from_rates(params, n) - lam) < 1e-12 * max(1.0, lam)
+                strength = lambda_from_rates(params.a_n, params.b_n, n)
+                assert abs(strength - lam) < 1e-12 * max(1.0, lam)
 
     def test_infeasible_strength_names_maximum(self):
         with pytest.raises(InfeasibleSnrError) as err:
@@ -72,32 +73,29 @@ class TestRates:
         assert err.value.lambda_max == pytest.approx(n / 4)
 
     def test_rate_ordering_enforced(self):
-        p = rates_from_lambda(1.0, 0.1, 100)
-        bad = object.__new__(type(p))
-        object.__setattr__(bad, "a_n", p.b_n)
-        object.__setattr__(bad, "b_n", p.a_n)
+        n = 100
+        for lam in (0.5, 1.0, 5.0):
+            p = rates_from_lambda(lam, 0.1, n)
+            assert 0.0 < p.b_n < p.a_n <= n
         with pytest.raises(ValueError):
-            lambda_from_rates(bad, 100)
+            lambda_from_rates(p.b_n, p.a_n, n)
 
     def test_equal_rates_give_zero(self):
         p = rates_from_lambda(0.0, 0.2, 50)
-        assert lambda_from_rates(p, 50) == 0.0
+        assert p.delta == 0.0
+        assert lambda_from_rates(p.a_n, p.b_n, 50) == 0.0
 
     def test_monotone_in_gap_at_fixed_sum(self):
         n, s = 1000, 60.0  # a + b fixed
         p_bar = s / (2 * n)
         vals = []
         for gap in np.linspace(0.0, 40.0, 9):
-            delta = gap / (2 * n)
-            lam = n * delta ** 2 / (p_bar * (1 - p_bar))
-            q = LayerParams(lambda_i=lam, p_bar=p_bar, delta=delta,
-                            a_n=(s + gap) / 2, b_n=(s - gap) / 2)
-            vals.append(lambda_from_rates(q, n))
+            lam = lambda_from_rates((s + gap) / 2, (s - gap) / 2, n)
+            q = rates_from_lambda(lam, p_bar, n)
+            assert q.a_n - q.b_n == pytest.approx(gap, abs=1e-9)
+            assert q.a_n + q.b_n == pytest.approx(s, abs=1e-9)
+            vals.append(lam)
         assert all(b > a or (a == b == 0.0) for a, b in zip(vals, vals[1:]))
-
-    def test_inconsistent_params_rejected(self):
-        with pytest.raises(ValueError):
-            LayerParams(lambda_i=0.0, p_bar=0.1, delta=0.05, a_n=150.0, b_n=50.0)
 
 
 class TestSbmLayer:
@@ -106,8 +104,7 @@ class TestSbmLayer:
         p0 = rates_from_lambda(0.0, 1e-9, 30)
         empty = sample_sbm_layer(lab, p0, substream(1, 1))
         assert empty.adjacency.nnz == 0
-        full_params = type(p0)(lambda_i=0.0, p_bar=1 - 1e-12, delta=0.0, a_n=30.0, b_n=30.0)
-        full = sample_sbm_layer(lab, full_params, substream(1, 2))
+        full = sample_sbm_layer(lab, LayerParams(0.0, 1 - 1e-12, 30), substream(1, 2))
         dense = full.adjacency.toarray()
         np.testing.assert_array_equal(dense, np.ones((30, 30)) - np.eye(30))
 
@@ -212,11 +209,13 @@ class TestSbmLayer:
         assert (a != b).nnz == 0
 
     def test_rejects_invalid_probability(self):
+        # p_bar + delta = 0.8 + sqrt(0.048) > 1 is no edge probability
+        with pytest.raises(InfeasibleSnrError):
+            LayerParams(3.0, 0.8, 10)
+        # rates for n = 11 subjects give other probabilities among 10
         lab = sample_labels(10, substream(5, 0))
-        params = rates_from_lambda(0.0, 0.5, 10)
-        bad = type(params)(lambda_i=0.0, p_bar=0.5, delta=0.0, a_n=11.0, b_n=11.0)
-        with pytest.raises(ValueError):
-            sample_sbm_layer(lab, bad, substream(5, 1))
+        with pytest.raises(ValueError, match="n=11"):
+            sample_sbm_layer(lab, rates_from_lambda(0.0, 0.5, 11), substream(5, 1))
 
 
 class TestCovariates:
@@ -553,7 +552,8 @@ class TestCombineLayers:
 
     def test_single_layer_identity(self):
         _, ops = self.make_ops(30, [1])
-        assert combine_layers(ops, [2.0]) is ops[0]
+        v = np.random.default_rng(1).standard_normal(30)
+        np.testing.assert_array_equal(combine_layers(ops, [2.0]).matvec(v), ops[0].matvec(v))
 
     def test_two_identical_layers(self):
         _, ops = self.make_ops(30, [1])
