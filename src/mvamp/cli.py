@@ -158,8 +158,9 @@ TABLES = {
         Opt("n-iter", int, _field_default("n_iter"),
             "iteration cap per replicate (see stop-tol)"),
         Opt("stop-tol", float, _field_default("stop_tol"),
-            "stop a replicate once the RMS change of its labels between steps "
-            "falls below this; below about 5e-7 (float32 round-off) it may "
+            "stop a replicate once 1 - s^2, its label-free MSE estimate "
+            "(s = <q, q>/n), has moved by less than this over each of two "
+            "consecutive steps; below about 3e-8 (float32 round-off) it may "
             "never fire; 0 runs all n-iter steps"),
         Opt("eps", float, _field_default("eps"), "revelation fraction in [0, 1]: 0 runs "
             "the spectral start; > 0 starts from zero iterates with that fraction revealed"),

@@ -5,10 +5,12 @@ also behind ``mvamp simulate --export-instance``), builds the operators,
 initializes (spectral start, or zero iterates with a fraction eps of the
 truth revealed when eps > 0), runs the iteration, and reports the
 matrix mean square error, the sign overlap and the steps taken.  The
-iteration runs at most ``n_iter`` steps: it ends once the root-mean-square
-change of the labels between two steps falls below ``stop_tol`` (0 runs all
-``n_iter``).  Sweeps repeat that over a parameter grid with i.i.d.
-replicates per point and attach the theoretical limit for comparison.
+iteration runs at most ``n_iter`` steps: it ends once the label-free MSE
+estimate 1 - s^2, with s = <q, q> / n, has moved by less than ``stop_tol``
+over each of two consecutive steps (0 runs all ``n_iter``; see
+:func:`mvamp.amp.run_amp`).  Sweeps repeat that over a parameter grid with
+i.i.d. replicates per point and attach the theoretical limit for
+comparison.
 Everything is deterministic in (config, seed), the stop included:
 replicate sub-seeds are derived with :func:`mvamp.model.substream` and
 results are merged by index, so the thread count never changes a number.
@@ -107,8 +109,9 @@ class ExperimentConfig:
     other of (lambda, mu) is held at ``fixed_value``.  ``eps`` in [0, 1]
     picks the start: 0 runs the spectral start; > 0 starts from zero
     iterates with that fraction revealed.  ``n_iter`` caps the iteration,
-    which ends earlier once the root-mean-square change of the labels
-    between two steps falls below ``stop_tol``; ``stop_tol = 0`` runs all
+    which ends earlier once the label-free MSE estimate 1 - s^2 (s the
+    labels' self-overlap <q, q> / n) has moved by less than ``stop_tol``
+    over each of two consecutive steps; ``stop_tol = 0`` runs all
     ``n_iter`` steps.  ``r_fractions`` must be positive and sum to
     one; layer i gets strength r_i * lambda and density
     p_bar_coeffs[i] / sqrt(n) in (0, 1).  ``m`` is the number of layers,

@@ -250,7 +250,8 @@ class TestRunAmp:
 
     def test_early_stop(self):
         # float64 copies of the stored float32 matrices: with float32 products
-        # the RMS step change settles near 1e-7 and never reaches 1e-8
+        # the step change of s^2 = (<q, q> / n)^2 settles near 1e-8 and may
+        # never fall below 1e-8
         n, p = 60, 40
         lab, surr, cov, masks, _, _, traj = small_instance(n, p, lam=3.0, seed=22)
         sym_op = DenseSymmetricOperator(surr.T.astype(np.float64), denom=np.sqrt(n))
@@ -262,9 +263,27 @@ class TestRunAmp:
         assert out.n_steps < 100
         assert len(out.overlap) == out.n_steps + 1
 
-    @pytest.mark.parametrize("tol", [-1e-6, float("nan")])
+    def test_stop_uses_no_labels(self):
+        # the stop watches <q, q> / n only, so the labels, which run_amp
+        # takes for its overlap diagnostic alone, change neither where it
+        # stops nor what it returns
+        n, p = 300, 180
+        lab, _, _, masks, sym_op, b_op, _ = small_instance(n, p, lam=3.0, seed=23)
+        traj = se_run(SeConfig(lam=3.0, mu=1.0, c=n / p, eps=0.25, t_max=101))
+        init = init_state(np.zeros(n), masks, traj, p)
+        with_labels = run_amp(sym_op, b_op, masks, traj, init, n_iter=100,
+                              x_star=lab.x_star, stop_tol=1e-4)
+        without = run_amp(sym_op, b_op, masks, traj, init, n_iter=100, stop_tol=1e-4)
+        assert 2 <= with_labels.n_steps < 100
+        assert without.n_steps == with_labels.n_steps
+        np.testing.assert_array_equal(without.x_hat, with_labels.x_hat)
+        np.testing.assert_array_equal(without.self_overlap, with_labels.self_overlap)
+        assert without.overlap.size == 0
+
+    @pytest.mark.parametrize("tol", [-1e-6, float("nan"), float("inf")])
     def test_early_stop_tol_must_be_nonnegative(self, tol):
-        # a NaN tolerance would never stop: delta < nan is always False
+        # a NaN tolerance would never stop (a change < nan is always
+        # False), and an infinite one would stop every run at step 2
         n, p = 8, 5
         _, _, _, masks, sym_op, b_op, traj = small_instance(n, p)
         with pytest.raises(ValueError, match="stop_tol"):

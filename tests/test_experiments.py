@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mvamp
-from mvamp import amp, experiments
+from mvamp import experiments
 from mvamp.exceptions import ConvergenceError, InfeasibleSnrError
 from mvamp.experiments import (ExperimentConfig, empirical_mse, empirical_overlap,
                                run_replicate, run_se_check, run_sweep, se_check_config)
@@ -65,15 +65,29 @@ def small_cfg(**kw):
     return ExperimentConfig(**base)
 
 
-# (sizes, steps, the bound on the RMS step change over the last 10 steps)
+# (sizes, steps, the bound on |s_t^2 - s_{t-1}^2| over the last 10 steps,
+# where s_t = <q^t, q^t> / n)
 FLOOR_CASES = [
-    (dict(family="gaussian", n=1500, p=900, grid=(2.5,)), 100, 3e-7),
+    (dict(family="gaussian", n=1500, p=900, grid=(2.5,)), 100, 2e-8),
     (dict(family="multilayer", n=2000, p=3000, grid=(2.0,), m=3,
-          r_fractions=(0.6, 0.2, 0.2), p_bar_coeffs=(0.7, 0.4, 0.3)), 100, 3e-7),
-    # Near the threshold the floor is highest, under the 5e-7 that
+          r_fractions=(0.6, 0.2, 0.2), p_bar_coeffs=(0.7, 0.4, 0.3)), 100, 2e-8),
+    # Near the threshold the floor is highest, under the 3e-8 that
     # run_amp states.
-    (dict(family="gaussian", n=1500, p=900, grid=(1.5,)), 200, 5e-7),
+    (dict(family="gaussian", n=1500, p=900, grid=(1.5,)), 200, 3e-8),
 ]
+
+
+def recorded_runs(monkeypatch) -> list:
+    """Patch run_replicate's run_amp to keep every AmpRun it returns."""
+    runs = []
+    run_amp = experiments.run_amp
+
+    def recorded(*args, **kwargs):
+        runs.append(run_amp(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(experiments, "run_amp", recorded)
+    return runs
 
 
 class TestRunReplicate:
@@ -111,38 +125,49 @@ class TestRunReplicate:
         np.testing.assert_array_equal(fixed.overlap_trajectory,
                                       reference.overlap_trajectory)
 
-    def test_every_replicate_below_threshold_outlasts_every_one_above(self):
-        # lambda + mu^2 / c is 2.99 and 0.99: above the threshold every
-        # replicate settles within the default stop_tol in a few dozen
-        # steps; below it they wander near zero overlap, and while the stop
-        # fires on some of them, they all take longer and some reach the cap
-        reps = range(10)
-        cfg = small_cfg(n=600, p=360, grid=(2.5,), n_iter=100)
-        above = [run_replicate(cfg, 0, r) for r in reps]
-        for res in above:
-            assert len(res.overlap_trajectory) == res.n_steps + 1
-        below = [run_replicate(replace(cfg, grid=(0.5,)), 0, r).n_steps for r in reps]
-        assert min(below) > max(res.n_steps for res in above)
-        assert max(below) == 100
+    def test_stop_fires_where_the_fixed_length_run_settles(self, monkeypatch):
+        # Oracle: a stop_tol=0 run's self-overlap s_t = <q^t, q^t> / n.  The
+        # stopped run must end at the first step t >= 2 at which s^2 moved by
+        # less than stop_tol over each of the last two steps, having taken
+        # the same steps until then.  lambda + mu^2 / c is 0.99 and 2.99:
+        # below the threshold s is small and s^2 settles as well, so no
+        # replicate runs to the cap.
+        runs = recorded_runs(monkeypatch)
+        tol = ExperimentConfig.stop_tol
+        for lam in (0.5, 2.5):
+            cfg = small_cfg(n=600, p=360, grid=(lam,), n_iter=100)
+            for r in range(10):
+                stopped = run_replicate(cfg, 0, r)
+                full = run_replicate(replace(cfg, stop_tol=0.0), 0, r)
+                settled = np.abs(np.diff(runs[-1].self_overlap ** 2)) < tol
+                first = next(t for t in range(2, 101) if settled[t - 2] and settled[t - 1])
+                assert stopped.n_steps == first < 100, (lam, r)
+                np.testing.assert_array_equal(stopped.overlap_trajectory,
+                                              full.overlap_trajectory[:first + 1])
+                np.testing.assert_array_equal(runs[-2].self_overlap,
+                                              runs[-1].self_overlap[:first + 1])
+
+    def test_stop_waits_past_the_turning_point(self):
+        # From the coarse spectral start s first dips, then rises: a stop on
+        # one settled step of s^2 fires at the turn (step 6 here, MSE 1.09);
+        # two settled steps carry this replicate to its fixed point.
+        cfg = ExperimentConfig(family="gaussian", n=1500, p=900, sweep_param="lambda",
+                               grid=(1.5,), fixed_value=0.9, replicates=1, seed=1302)
+        stopped = run_replicate(cfg, 0, 0)
+        full = run_replicate(replace(cfg, stop_tol=0.0), 0, 0)
+        assert 6 < stopped.n_steps < full.n_steps
+        assert abs(full.empirical_mse - 0.7114) < 1e-3
+        assert abs(stopped.empirical_mse - full.empirical_mse) < 0.01
 
     @pytest.mark.parametrize("sizes,n_iter,floor", FLOOR_CASES,
                              ids=["gaussian", "multilayer", "gaussian-near-threshold"])
     def test_step_change_settles_at_the_float32_floor(self, monkeypatch, sizes, n_iter, floor):
-        # With float32 products the RMS change of q between steps settles
-        # near 1e-7 (below 1e-11 with float64 products): the default
-        # stop_tol lies above that floor.
-        deltas = []
-        step = amp.amp_step
-
-        def recorded(state, *args):
-            new = step(state, *args)
-            deltas.append(np.linalg.norm(new.q - state.q) / np.sqrt(new.q.size))
-            return new
-
-        monkeypatch.setattr(amp, "amp_step", recorded)
+        # With float32 products the step change of s^2 settles near 1e-8:
+        # the default stop_tol lies above that floor.
+        runs = recorded_runs(monkeypatch)
         cfg = small_cfg(replicates=1, n_iter=n_iter, stop_tol=0.0, **sizes)
         assert run_replicate(cfg, 0, 0).n_steps == n_iter
-        assert max(deltas[-10:]) < floor
+        assert np.abs(np.diff(runs[-1].self_overlap[-11:] ** 2)).max() < floor
         assert run_replicate(replace(cfg, stop_tol=ExperimentConfig.stop_tol),
                              0, 0).n_steps < n_iter
 
@@ -208,11 +233,12 @@ class TestRunSweep:
 
     def test_steps_are_summarized_per_point(self):
         cfg = small_cfg(n=600, p=360, grid=(0.5, 2.5), replicates=2, n_iter=100)
-        below, above = run_sweep(cfg)
-        assert below.mean_steps == 100.0 and below.capped == 2
-        assert above.mean_steps == np.mean([run_replicate(cfg, 1, r).n_steps
-                                            for r in range(2)])
-        assert above.mean_steps < 100.0 and above.capped == 0
+        for k, agg in enumerate(run_sweep(cfg)):
+            steps = [run_replicate(cfg, k, r).n_steps for r in range(2)]
+            assert agg.mean_steps == np.mean(steps) < 100.0 and agg.capped == 0
+        # these replicates stop at steps 9 to 39, so a cap of 5 binds on all
+        for agg in run_sweep(replace(cfg, n_iter=5)):
+            assert agg.mean_steps == 5.0 and agg.capped == 2
 
     def test_mu_sweep(self):
         cfg = small_cfg(sweep_param="mu", grid=(0.5, 1.5), fixed_value=2.0,
