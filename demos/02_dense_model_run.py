@@ -8,9 +8,9 @@ final error with its predicted limit.
 import numpy as np
 
 from mvamp import (DenseSymmetricOperator, RectOperator, SeConfig, empirical_mse,
-                   init_state, limit_mmse, run_amp, sample_covariates,
-                   sample_gaussian_surrogate, sample_labels, sample_revelation,
-                   se_run, solve_a0, spectral_initialize, substream)
+                   limit_mmse, run_amp, sample_covariates, sample_gaussian_surrogate,
+                   sample_labels, sample_revelation, se_run, solve_a0,
+                   spectral_initialize, substream)
 
 n, p = 1500, 900
 lam, mu = 3.0, 0.9
@@ -31,10 +31,8 @@ vec = spectral_initialize(sym_op, b_op, a0, substream(seed, 4))
 print(f"initial |overlap| of the spectral vector: "
       f"{abs(vec @ labels.x_star) / n:.4f}")
 
-traj = se_run(SeConfig(lam=lam, mu=mu, c=c, t_max=100))
-out = run_amp(sym_op, b_op, masks, traj, n_iter=100,
-              init=init_state(vec, masks, traj, p),
-              x_star=labels.x_star)
+traj = se_run(SeConfig(lam=lam, mu=mu, c=c, t_max=100))  # at most 100 steps
+out = run_amp(sym_op, b_op, masks, traj, vec, x_star=labels.x_star)
 
 print("\nper-iteration |overlap| (first 10 steps):")
 for t in range(10):

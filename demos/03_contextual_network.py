@@ -8,9 +8,9 @@ correction), whose planted mean matches the dense model's.
 import numpy as np
 
 from mvamp import (RectOperator, SeConfig, center_scale_layer, empirical_mse,
-                   empirical_overlap, init_state, limit_mmse, rates_from_lambda,
-                   run_amp, sample_covariates, sample_labels, sample_revelation,
-                   sample_sbm_layer, se_run, solve_a0, spectral_initialize, substream)
+                   empirical_overlap, limit_mmse, rates_from_lambda, run_amp,
+                   sample_covariates, sample_labels, sample_revelation, sample_sbm_layer,
+                   se_run, solve_a0, spectral_initialize, substream)
 
 n, p = 2000, 3000
 lam, mu = 3.0, 0.7
@@ -35,10 +35,8 @@ masks = sample_revelation(labels, cov.v_star, 0.0, substream(seed, 3))
 b_op = RectOperator(cov.B)
 
 vec = spectral_initialize(A, b_op, solve_a0(lam, mu, c), substream(seed, 4))
-traj = se_run(SeConfig(lam=lam, mu=mu, c=c, t_max=100))
-out = run_amp(A, b_op, masks, traj, n_iter=100,
-              init=init_state(vec, masks, traj, p),
-              x_star=labels.x_star)
+traj = se_run(SeConfig(lam=lam, mu=mu, c=c, t_max=100))  # at most 100 steps
+out = run_amp(A, b_op, masks, traj, vec, x_star=labels.x_star)
 
 print(f"\nempirical matrix mse : {empirical_mse(out.x_hat, labels.x_star):.4f}")
 print(f"theoretical limit    : {limit_mmse(lam, mu, c):.4f}")

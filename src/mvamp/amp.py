@@ -18,29 +18,34 @@ denoisers' analytic derivatives; subtracting those terms keeps successive
 iterates decorrelated so that each looks like signal plus Gaussian noise
 at the level predicted by state evolution.
 
-:func:`run_amp` runs at most ``n_iter`` steps and, given a tolerance, ends
-once the self-overlap s_t = <q^t, q^t> / n has settled: after the first
-step t >= 2 at which both |s_t^2 - s_{t-1}^2| and |s_{t-1}^2 - s_{t-2}^2|
-lie below it.  The MSE of q is 1 - 2 ov^2 + s^2, with ov = <q, x*> / n,
-and at the Bayes-optimal fixed point ov and s agree (the Nishimori
-identity), so 1 - s^2 is the run's own label-free estimate of its MSE,
-and the tolerance bounds its change per step.  The test spans two steps
+:func:`run_amp` runs at most as many steps as its SeTrajectory
+schedules and, given a tolerance, ends once the self-overlap
+s_t = <q^t, q^t> / n has settled: after the first step t >= 2 at which
+both |s_t^2 - s_{t-1}^2| and |s_{t-1}^2 - s_{t-2}^2| lie below it.  The
+MSE of q is 1 - 2 ov^2 + s^2, with ov = <q, x*> / n, and at the
+Bayes-optimal fixed point ov and s agree (the Nishimori identity), so
+1 - s^2 is the run's own label-free estimate of its MSE, and the
+tolerance bounds its change per step.  The test spans two steps
 because from a coarse spectral start s first dips and then rises, and a
 one-step test fires at that turn.
 
 The denoiser coefficients come from a precomputed SeTrajectory: after
 step 0 the label denoiser is tanh(sqrt(mu / c) u + sqrt(lam) x), and only
 the spike shrinkage follows the predicted overlap z_t.  Both label-orbit
-iterates start from one vector (:func:`init_state`): zeros with
-eps-revelation side information, or the practical spectral start: sqrt(n)
-times the leading eigenvector of S + a0 B^T B / p, found by a Lanczos loop
-that stops as soon as its coarse tolerance is met
-(:func:`mvamp.linalg.leading_eigenpair`), with the weight a0 from the
-weight equation solved in closed form by :func:`solve_a0`.
+iterates start from the one vector :func:`run_amp` is given (its step-0
+state is built by :func:`init_state`): zeros with eps-revelation side
+information, or the practical spectral start: sqrt(n) times the leading
+eigenvector of S + a0 B^T B / p, found by a Lanczos loop that stops as soon
+as its coarse tolerance is met (:func:`mvamp.linalg.leading_eigenpair`),
+with the weight a0 from the weight equation solved in closed form by
+:func:`solve_a0`.  Where one source carries no signal, the weight
+equation's own limits leave the other source alone: a0 = 0 at mu = 0
+gives S, and a0 = inf at lambda = 0 gives B^T B / p.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +57,6 @@ from .model import RevelationMasks
 from .state_evolution import DenoiserParams, SeTrajectory
 
 __all__ = [
-    "DenoiserParams",
     "AmpState",
     "AmpRun",
     "denoise_f",
@@ -90,14 +94,16 @@ def denoise_g(v, v0, revealed, params: DenoiserParams):
     return value, dv
 
 
-def onsager_coeffs(df_du: np.ndarray, df_dx: np.ndarray, dg_dv: np.ndarray,
-                   n: int, p: int) -> tuple[float, float, float]:
+def onsager_coeffs(df_du: np.ndarray, df_dx: np.ndarray,
+                   dg_dv: np.ndarray) -> tuple[float, float, float]:
     """Memory-correction coefficients from the last denoiser pass.
 
-    c_t averages the spike-denoiser derivative over features, p_t averages
-    the label-denoiser u-derivative scaled by the finite-sample ratio
-    c = n / p, d_t averages the label-denoiser x-derivative.
+    c_t averages the spike-denoiser derivative over the p features, p_t
+    averages the label-denoiser u-derivative over the n labels, scaled by
+    the finite-sample ratio c = n / p, and d_t averages the label-denoiser
+    x-derivative; n and p are the sizes of the derivative arrays.
     """
+    n, p = df_du.size, dg_dv.size
     c_t = float(np.sum(dg_dv) / p)
     p_t = float((n / p) * np.sum(df_du) / n)
     d_t = float(np.sum(df_dx) / n)
@@ -126,28 +132,30 @@ class AmpState:
     m_prev: np.ndarray
 
 
-def init_state(vec: np.ndarray, masks: RevelationMasks, traj: SeTrajectory,
-               p: int) -> AmpState:
+def init_state(vec: np.ndarray, masks: RevelationMasks, traj: SeTrajectory) -> AmpState:
     """Step-0 state with both label-orbit iterates at ``vec``: the spectral
     vector, or zeros for the revelation start, whose step-0 denoiser output
     is then the revealed truth.  The state holds ``vec`` itself; no step
-    writes into an iterate."""
+    writes into an iterate.  The masks give the sizes: ``vec`` must hold one
+    entry for each of the n labels, and the covariate orbit has p features."""
+    n, p = masks.mask_x.size, masks.mask_v.size
+    if np.shape(vec) != (n,):
+        raise ValueError(f"start must be a length-{n} vector, got shape {np.shape(vec)}")
     q, df_du, df_dx = denoise_f(vec, vec, masks.x0, masks.mask_x, traj.denoiser_coeffs(0))
     return AmpState(t=0, u=vec, x=vec, v=np.zeros(p), q=q, df_du=df_du, df_dx=df_dx,
-                    q_prev=np.zeros(vec.size), m_prev=np.zeros(p))
+                    q_prev=np.zeros(n), m_prev=np.zeros(p))
 
 
 def amp_step(state: AmpState, sym_op: SymmetricOperator, b_op: RectOperator,
              masks: RevelationMasks, traj: SeTrajectory) -> AmpState:
     """Advance one step: t -> t + 1 (see the module docstring for the order)."""
     t = state.t
-    n, p = state.q.size, b_op.p
     params_t = traj.denoiser_coeffs(t)
     q = state.q
     # g_t's derivative does not depend on its argument, so all three memory
     # coefficients are known before v is formed.
     _, dg_dv = denoise_g(state.v, masks.v0, masks.mask_v, params_t)
-    c_t, p_t, d_t = onsager_coeffs(state.df_du, state.df_dx, dg_dv, n, p)
+    c_t, p_t, d_t = onsager_coeffs(state.df_du, state.df_dx, dg_dv)
 
     v = b_op.apply(q) - p_t * state.m_prev
     m, _ = denoise_g(v, masks.v0, masks.mask_v, params_t)
@@ -179,21 +187,22 @@ class AmpRun:
 
 
 def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMasks,
-            traj: SeTrajectory, init: AmpState, n_iter: int = 100,
-            x_star: np.ndarray | None = None, stop_tol: float = 0.0) -> AmpRun:
-    """Run at most n_iter steps from ``init`` and return the last denoised
-    labels plus diagnostics.
+            traj: SeTrajectory, start: np.ndarray, x_star: np.ndarray | None = None,
+            stop_tol: float = 0.0) -> AmpRun:
+    """Run from the label vector ``start`` for at most ``len(traj) - 1``
+    steps and return the last denoised labels plus diagnostics.
 
-    ``init`` is the start, from :func:`init_state`, and has no default:
-    without revealed labels (eps = 0) the zero start is a fixed point, so a
-    run from it would return x_hat = 0.
+    ``start`` is the spectral vector, or zeros for the revelation start; its
+    step-0 state comes from :func:`init_state`.  It has no default: without
+    revealed labels (eps = 0) the zero start is a fixed point, so a run from
+    it would return x_hat = 0.
 
-    The trajectory must provide coefficients for n_iter + 1 steps.  With
-    s_t = self_overlap[t], the loop ends after the first step t >= 2 at
+    With s_t = self_overlap[t], the loop ends after the first step t >= 2 at
     which s^2 moved by less than ``stop_tol`` (finite, nonnegative) over
-    each of the last two steps, so n_iter is a cap; ``stop_tol = 0`` runs
-    all n_iter steps.  ``n_steps`` of the result is the number of steps
-    taken.  The stop reads no labels: ``x_star`` feeds only ``overlap``.
+    each of the last two steps, so the trajectory's length is a cap;
+    ``stop_tol = 0`` runs every scheduled step.  ``n_steps`` of the result
+    is the number of steps taken.  The stop reads no labels: ``x_star``
+    feeds only ``overlap``.
 
     The module docstring says why the stop watches s^2 and why over two
     steps.  Below the detection threshold s is small and s^2 settles as
@@ -209,14 +218,9 @@ def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMask
     (``ExperimentConfig.stop_tol``, 1e-4) sits more than 3000 times above
     that floor.
     """
-    if n_iter < 1:
-        raise ValueError(f"need at least one step, got n_iter={n_iter}")
     if not (np.isfinite(stop_tol) and stop_tol >= 0.0):
         raise ValueError(f"stop_tol must be finite and nonnegative, got {stop_tol}")
-    if len(traj) < n_iter + 1:
-        raise ValueError(
-            f"trajectory provides {len(traj)} steps, need {n_iter + 1}")
-    state = init
+    state = init_state(start, masks, traj)
     n = state.q.size
 
     overlaps, selfs = [], []
@@ -228,7 +232,7 @@ def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMask
 
     record(state.q)
     settled = 0  # consecutive steps that moved s^2 by less than stop_tol
-    for _ in range(n_iter):
+    for _ in range(len(traj) - 1):
         state = amp_step(state, sym_op, b_op, masks, traj)
         record(state.q)
         settled = settled + 1 if abs(selfs[-1] ** 2 - selfs[-2] ** 2) < stop_tol else 0
@@ -238,17 +242,9 @@ def run_amp(sym_op: SymmetricOperator, b_op: RectOperator, masks: RevelationMask
                   overlap=np.array(overlaps), self_overlap=np.array(selfs))
 
 
-def _a0_rhs(a: float, lam: float, mu: float, c: float) -> float:
-    s = lam + (c + mu) * a * a
-    disc = s * s - 4.0 * lam * c * a * a
-    # disc = lam^2 + 2 lam (mu - c) a^2 + (c + mu)^2 a^4 has no real roots
-    # in a^2, so it stays positive for all a.
-    return (-lam + (c + mu) * a * a + np.sqrt(disc)) / (2.0 * mu)
-
-
 def solve_a0(lam: float, mu: float, c: float) -> float:
     """Spectral combination weight: the positive root a0 of
-    rhs(a) = t with t = mu / (c lam).
+    rhs(a) = t with t = mu / (c lam), for any lam, mu >= 0.
 
     Write A = a^2 and s = lam + (c + mu) A.  The equation reads
     sqrt(s^2 - 4 lam c A) = 2 mu t + lam - (c + mu) A; squaring it cancels
@@ -260,29 +256,33 @@ def solve_a0(lam: float, mu: float, c: float) -> float:
     Squaring adds no root: (c + mu) a0^2 < lam + mu t, so the right-hand
     side of the unsquared equation stays positive.
 
-    Undefined when either signal is absent (the initializer then
-    degenerates to a single-source eigenvector problem: pass None for the
-    absent operator to :func:`spectral_initialize`).
+    Where one source carries no signal the root's own limits pick the
+    other source alone: a0 -> 0 as mu -> 0 (a0^2 ~ t) and a0 -> inf as
+    lam -> 0 (a0^2 ~ mu t / (c + mu)).  So mu = 0 returns 0, the
+    network-only start, and lam = 0 returns ``math.inf``, the covariate-only
+    start (see :class:`mvamp.linalg.ComposedSpectralOperator`).  mu = 0 is
+    tested first: with no signal in either source the start is the
+    network's.
     """
-    if lam <= 0.0 or mu <= 0.0:
-        raise ValueError(
-            "combination weight is undefined when a signal is absent: "
-            f"lam={lam}, mu={mu}; call spectral_initialize with None for the "
-            "absent operator instead")
+    if not (lam >= 0.0 and mu >= 0.0):
+        raise ValueError(f"signal strengths must be nonnegative, got lam={lam}, mu={mu}")
     if c <= 0.0:
         raise ValueError(f"aspect ratio c must be positive, got {c}")
+    if mu == 0.0:
+        return 0.0
+    if lam == 0.0:
+        return math.inf
     t = mu / (c * lam)
     return float(np.sqrt(t * (lam + mu * t) / (lam + (c + mu) * t)))
 
 
-def spectral_initialize(sym_op: SymmetricOperator | None, b_op: RectOperator | None,
-                        a0: float, rng,
+def spectral_initialize(sym_op: SymmetricOperator, b_op: RectOperator, a0: float, rng,
                         tol: float = 1e-1) -> np.ndarray:
-    """Leading eigenvector of the composed initializer matrix, scaled to
-    norm sqrt(n): the starting vector of both label orbits.
+    """Leading eigenvector of the composed initializer matrix S + a0 B^T B / p,
+    scaled to norm sqrt(n): the starting vector of both label orbits.
 
-    Pass a0 = 0 (or no rectangular operator) when the covariates carry no
-    signal, and no symmetric operator when the networks carry none.
+    a0 is the weight :func:`solve_a0` returns: 0 gives the network-only
+    start and ``math.inf`` the covariate-only one.
 
     ``tol`` is the Lanczos tolerance.  AMP forgets its start once it
     converges, so the start needs only coarse accuracy, and the Lanczos
@@ -290,9 +290,11 @@ def spectral_initialize(sym_op: SymmetricOperator | None, b_op: RectOperator | N
     criteria 04-07, tol 1e-1 against 1e-2 cut the matvecs of a start from
     11-40 to 7-12, its residual check included.  With the sweeps' default
     stop it moved no grid point's mean MSE above the detection threshold by
-    more than 5e-6, and AMP took a few more steps (criterion 04 at
-    lambda = 1.5: 39 instead of 30 on average), which the saved matvecs
-    outweigh.
+    more than 5e-6.  AMP takes more steps from the coarser start: at
+    criterion 04's lambda = 1.5 (seed 42, 10 replicates) 29.4 on average
+    against 20.0 at tol 1e-2, for 7.7 matvecs a start against 22.8.
+    Whether the saved matvecs outweigh those steps is for the bench to
+    settle (ROADMAP item 16).
     """
     op = ComposedSpectralOperator(sym_op, b_op, a0)
     _, vec = leading_eigenpair(op, tol=tol, rng=rng)

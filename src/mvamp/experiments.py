@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amp import init_state, run_amp, solve_a0, spectral_initialize
+from .amp import run_amp, solve_a0, spectral_initialize
 from .exceptions import MvampError
 from .linalg import DenseSymmetricOperator, RectOperator, _single_threaded_blas, _trim_heap
 from .model import (CommunityLabels, CovariateModel, GaussianSurrogate, RevelationMasks,
@@ -300,23 +300,18 @@ def run_replicate(cfg: ExperimentConfig, point_index: int, rep_index: int) -> Re
         sym_op = combine_layers([center_scale_layer(layer) for layer in inst.network],
                                 [r_i for r_i, _ in _layer_specs(cfg)])
 
+    # run_amp takes at most as many steps as the schedule holds: n_iter.
     traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=cfg.eps, t_max=cfg.n_iter))
 
     if cfg.eps > 0.0:
-        vec = np.zeros(cfg.n)
+        start = np.zeros(cfg.n)
     else:
         rng = substream(cfg.seed, point_index, rep_index, _STREAM_INIT)
-        if mu == 0:
-            vec = spectral_initialize(sym_op, None, 0.0, rng)
-        elif lam == 0:
-            vec = spectral_initialize(None, b_op, 1.0, rng)
-        else:
-            vec = spectral_initialize(sym_op, b_op, solve_a0(lam, mu, cfg.c), rng)
+        start = spectral_initialize(sym_op, b_op, solve_a0(lam, mu, cfg.c), rng)
 
     x_star = inst.labels.x_star
-    result = run_amp(sym_op, b_op, inst.masks, traj, n_iter=cfg.n_iter,
-                     init=init_state(vec, inst.masks, traj, cfg.p),
-                     x_star=x_star, stop_tol=cfg.stop_tol)
+    result = run_amp(sym_op, b_op, inst.masks, traj, start, x_star=x_star,
+                     stop_tol=cfg.stop_tol)
     return ReplicateResult(
         point_index=point_index,
         replicate_index=rep_index,

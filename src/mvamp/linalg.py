@@ -230,31 +230,32 @@ class RectOperator:
 
 
 class ComposedSpectralOperator(SymmetricOperator):
-    """v -> T_op(v) + a0 * B_op.gram(v).
+    """v -> T_op(v) + a0 * B_op.gram(v), either source alone or both.
 
-    The second term is the Gram map B^T B v / p.  An absent T_op gives the
-    pure Gram map (covariate-only initialization), and an absent B_op or
-    a0 = 0 gives T's product (network-only initialization).  One matvec
-    reads B once (:meth:`RectOperator.gram`) and, for the float32
-    surrogate, the upper triangle of T (:class:`DenseSymmetricOperator`).
+    The second term is the Gram map B^T B v / p.  The weight a0 >= 0 picks
+    the sources: a0 = 0 gives T's product alone (network-only
+    initialization), and a0 = inf the Gram map alone (covariate-only
+    initialization), the limits that :func:`mvamp.amp.solve_a0` returns
+    where one source carries no signal.  One matvec reads B once
+    (:meth:`RectOperator.gram`) and, for the float32 surrogate, the upper
+    triangle of T (:class:`DenseSymmetricOperator`).
     """
 
-    def __init__(self, t_op: SymmetricOperator | None, b_op: RectOperator | None,
-                 a0: float):
-        if t_op is None and (b_op is None or a0 == 0.0):
-            raise ValueError("operator would be identically zero")
-        if t_op is not None and b_op is not None and t_op.n != b_op.n:
+    def __init__(self, t_op: SymmetricOperator, b_op: RectOperator, a0: float):
+        if not a0 >= 0.0:
+            raise ValueError(f"weight a0 must be nonnegative, got {a0}")
+        if t_op.n != b_op.n:
             raise ValueError(f"dimension mismatch: {t_op.n} vs {b_op.n}")
         self.t_op = t_op
         self.b_op = b_op
         self.a0 = float(a0)
-        self.n = t_op.n if t_op is not None else b_op.n
+        self.n = t_op.n
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.t_op is None:
-            return self.a0 * self.b_op.gram(v)
+        if self.a0 == np.inf:
+            return self.b_op.gram(v)
         out = self.t_op.matvec(v)
-        if self.b_op is not None and self.a0 != 0.0:
+        if self.a0 != 0.0:
             out = out + self.a0 * self.b_op.gram(v)
         return out
 

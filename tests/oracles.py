@@ -45,6 +45,17 @@ def lambda_from_rates(a_n: float, b_n: float, n: int) -> float:
     return n * (a_n - b_n) ** 2 / ((a_n + b_n) * (2.0 * n - a_n - b_n))
 
 
+def a0_rhs(a: float, lam: float, mu: float, c: float) -> float:
+    """Right-hand side of the spectral weight equation, whose positive root
+    at t = mu / (c lam) is :func:`mvamp.amp.solve_a0`, written directly from
+    the formula (lam, mu > 0)."""
+    s = lam + (c + mu) * a * a
+    disc = s * s - 4.0 * lam * c * a * a
+    # disc = lam^2 + 2 lam (mu - c) a^2 + (c + mu)^2 a^4 has no real roots
+    # in a^2, so it stays positive for all a.
+    return (-lam + (c + mu) * a * a + np.sqrt(disc)) / (2.0 * mu)
+
+
 def scalar_map(lam: float, mu: float, c: float, eps: float = 0.0):
     """The plain state-evolution map, written directly from its formula."""
 

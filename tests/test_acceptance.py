@@ -10,17 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from mvamp.amp import denoise_f, DenoiserParams, onsager_coeffs, solve_a0, _a0_rhs
-from mvamp.amp import denoise_g
+from mvamp.amp import denoise_f, denoise_g, onsager_coeffs, solve_a0
 from mvamp.cli import main as cli_main
 from mvamp.experiments import (ExperimentConfig, empirical_mse, run_se_check, run_sweep,
                                se_check_config)
 from mvamp.model import (center_scale_layer, rates_from_lambda, sample_labels,
                          sample_revelation, sample_sbm_layer, substream)
 from mvamp.scalar_channel import scalar_mi, scalar_mmse
-from mvamp.state_evolution import SeConfig, fixed_point_z, limit_mmse, xi_limit
+from mvamp.state_evolution import (DenoiserParams, SeConfig, fixed_point_z, limit_mmse,
+                                   xi_limit)
 
-from oracles import (bisect_fixed_point, dense_matrix_mse, scalar_map,
+from oracles import (a0_rhs, bisect_fixed_point, dense_matrix_mse, scalar_map,
                      trace_mean_fd, trapezoid_adaptive, two_point_posterior)
 
 
@@ -166,7 +166,7 @@ def test_criterion_09_oracle_equivalence_suite():
     params = DenoiserParams(a=0.9, b=1.2, g_slope=0.45)
     _, du, dx = denoise_f(uu, xx, masks.x0, masks.mask_x, params)
     _, dv = denoise_g(vv, masks.v0, masks.mask_v, params)
-    c_t, p_t, d_t = onsager_coeffs(du, dx, dv, n, p)
+    c_t, p_t, d_t = onsager_coeffs(du, dx, dv)
     gap_o = max(
         abs(p_t - (n / p) * trace_mean_fd(
             lambda w: denoise_f(w, xx, masks.x0, masks.mask_x, params)[0], uu)),
@@ -201,7 +201,7 @@ def test_criterion_09_oracle_equivalence_suite():
         for mu in np.linspace(0.3, 2.0, 5):
             for c in (0.5, 1.0, 2.5):
                 a0 = solve_a0(lam, mu, c)
-                gap_a = max(gap_a, abs(_a0_rhs(a0, lam, mu, c) - mu / (c * lam)))
+                gap_a = max(gap_a, abs(a0_rhs(a0, lam, mu, c) - mu / (c * lam)))
 
     ok = gap_f < 1e-12 and gap_o < 1e-6 and gap_m < 1e-10 and gap_c < 1e-12 \
         and gap_a < 1e-10

@@ -1,17 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg.blas import ssymv
 
-from mvamp.amp import (DenoiserParams, amp_step, denoise_f, denoise_g, init_state,
-                       onsager_coeffs, run_amp, solve_a0, spectral_initialize)
+from mvamp.amp import (amp_step, denoise_f, denoise_g, init_state, onsager_coeffs, run_amp,
+                       solve_a0, spectral_initialize)
 from mvamp.exceptions import DivergenceError
 from mvamp.experiments import empirical_mse
 from mvamp.linalg import DenseSymmetricOperator, RectOperator
 from mvamp.model import (RevelationMasks, sample_covariates, sample_gaussian_surrogate,
                          sample_labels, sample_revelation, substream)
-from mvamp.state_evolution import SeConfig, se_run
+from mvamp.state_evolution import DenoiserParams, SeConfig, se_run
 
-from oracles import gaussian_posterior_mean, trace_mean_fd, two_point_posterior
+from oracles import a0_rhs, gaussian_posterior_mean, trace_mean_fd, two_point_posterior
 
 
 def make_masks(n, p, eps, seed=0):
@@ -104,7 +106,7 @@ class TestOnsagerCoeffs:
         params = DenoiserParams(a=0.5, b=0.8, g_slope=0.3)
         _, du, dx = denoise_f(np.ones(n), np.ones(n), masks.x0, masks.mask_x, params)
         _, dv = denoise_g(np.ones(p), masks.v0, masks.mask_v, params)
-        assert onsager_coeffs(du, dx, dv, n, p) == (0.0, 0.0, 0.0)
+        assert onsager_coeffs(du, dx, dv) == (0.0, 0.0, 0.0)
 
     def test_zero_iterates_closed_form(self):
         n, p = 24, 16
@@ -112,7 +114,7 @@ class TestOnsagerCoeffs:
         params = DenoiserParams(a=0.5, b=0.8, g_slope=0.3)
         _, du, dx = denoise_f(np.zeros(n), np.zeros(n), masks.x0, masks.mask_x, params)
         _, dv = denoise_g(np.zeros(p), masks.v0, masks.mask_v, params)
-        c_t, p_t, d_t = onsager_coeffs(du, dx, dv, n, p)
+        c_t, p_t, d_t = onsager_coeffs(du, dx, dv)
         assert abs(p_t - (n / p) * params.a) < 1e-15
         assert abs(d_t - params.b) < 1e-15
         assert abs(c_t - params.g_slope) < 1e-15
@@ -125,7 +127,7 @@ class TestOnsagerCoeffs:
         params = DenoiserParams(a=0.9, b=1.2, g_slope=0.45)
         _, du, dx = denoise_f(u, x, masks.x0, masks.mask_x, params)
         _, dv = denoise_g(v, masks.v0, masks.mask_v, params)
-        c_t, p_t, d_t = onsager_coeffs(du, dx, dv, n, p)
+        c_t, p_t, d_t = onsager_coeffs(du, dx, dv)
 
         f_of_u = lambda uu: denoise_f(uu, x, masks.x0, masks.mask_x, params)[0]
         f_of_x = lambda xx: denoise_f(u, xx, masks.x0, masks.mask_x, params)[0]
@@ -154,7 +156,7 @@ class TestAmpStep:
         lab, _, cov, _, sym_op, b_op, _ = small_instance(n, p, eps=0.25)
         masks = sample_revelation(lab, cov.v_star, 0.0, substream(99, 0))
         traj = se_run(SeConfig(lam=2.0, mu=1.0, c=n / p, eps=0.0, t_max=6))
-        state = init_state(np.zeros(n), masks, traj, p)
+        state = init_state(np.zeros(n), masks, traj)
         for _ in range(3):
             state = amp_step(state, sym_op, b_op, masks, traj)
         np.testing.assert_array_equal(state.q, np.zeros(n))
@@ -168,7 +170,7 @@ class TestAmpStep:
         reads the upper triangle of T by BLAS ssymv."""
         n, p = 8, 5
         lab, surr, cov, masks, sym_op, b_op, traj = small_instance(n, p)
-        state = init_state(np.zeros(n), masks, traj, p)
+        state = init_state(np.zeros(n), masks, traj)
         s1 = amp_step(state, sym_op, b_op, masks, traj)
         s2 = amp_step(s1, sym_op, b_op, masks, traj)
 
@@ -213,7 +215,7 @@ class TestAmpStep:
             traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=0.0, t_max=4))
             a0 = solve_a0(lam, mu, n / p)
             vec = spectral_initialize(sym_op, b_op, a0, substream(200 + rep, 4), tol=1e-5)
-            state = init_state(vec, masks, traj, p)
+            state = init_state(vec, masks, traj)
             ov0 = abs(np.dot(state.q, lab.x_star)) / n
             state = amp_step(state, sym_op, b_op, masks, traj)
             ov1 = abs(np.dot(state.q, lab.x_star)) / n
@@ -228,7 +230,7 @@ class TestAmpStep:
         lab, surr, cov, masks, sym_op, b_op, traj = small_instance(n, p)
         bad = cov.B.copy()
         bad[2, 3] = np.inf
-        state = init_state(np.zeros(n), masks, traj, p)
+        state = init_state(np.zeros(n), masks, traj)
         with pytest.warns(RuntimeWarning, match="invalid value"), \
                 pytest.raises(DivergenceError) as err:
             s = state
@@ -242,9 +244,8 @@ class TestRunAmp:
         n, p = 40, 25
         lab, _, cov, _, sym_op, b_op, _ = small_instance(n, p, seed=21)
         masks = sample_revelation(lab, cov.v_star, 1.0, substream(21, 5))
-        traj = se_run(SeConfig(lam=2.0, mu=1.0, c=n / p, eps=1.0, t_max=3))
-        out = run_amp(sym_op, b_op, masks, traj, n_iter=1,
-                      init=init_state(np.zeros(n), masks, traj, p), x_star=lab.x_star)
+        traj = se_run(SeConfig(lam=2.0, mu=1.0, c=n / p, eps=1.0, t_max=1))
+        out = run_amp(sym_op, b_op, masks, traj, np.zeros(n), x_star=lab.x_star)
         np.testing.assert_array_equal(out.x_hat, lab.x_star)
         assert empirical_mse(out.x_hat, lab.x_star) == 0.0
 
@@ -256,9 +257,8 @@ class TestRunAmp:
         lab, surr, cov, masks, _, _, traj = small_instance(n, p, lam=3.0, seed=22)
         sym_op = DenseSymmetricOperator(surr.T.astype(np.float64), denom=np.sqrt(n))
         b_op = RectOperator(cov.B.astype(np.float64))
-        traj = se_run(SeConfig(lam=3.0, mu=1.0, c=n / p, eps=0.25, t_max=101))
-        out = run_amp(sym_op, b_op, masks, traj, n_iter=100,
-                      init=init_state(np.zeros(n), masks, traj, p), x_star=lab.x_star,
+        traj = se_run(SeConfig(lam=3.0, mu=1.0, c=n / p, eps=0.25, t_max=100))
+        out = run_amp(sym_op, b_op, masks, traj, np.zeros(n), x_star=lab.x_star,
                       stop_tol=1e-8)
         assert out.n_steps < 100
         assert len(out.overlap) == out.n_steps + 1
@@ -269,11 +269,11 @@ class TestRunAmp:
         # stops nor what it returns
         n, p = 300, 180
         lab, _, _, masks, sym_op, b_op, _ = small_instance(n, p, lam=3.0, seed=23)
-        traj = se_run(SeConfig(lam=3.0, mu=1.0, c=n / p, eps=0.25, t_max=101))
-        init = init_state(np.zeros(n), masks, traj, p)
-        with_labels = run_amp(sym_op, b_op, masks, traj, init, n_iter=100,
-                              x_star=lab.x_star, stop_tol=1e-4)
-        without = run_amp(sym_op, b_op, masks, traj, init, n_iter=100, stop_tol=1e-4)
+        traj = se_run(SeConfig(lam=3.0, mu=1.0, c=n / p, eps=0.25, t_max=100))
+        start = np.zeros(n)
+        with_labels = run_amp(sym_op, b_op, masks, traj, start, x_star=lab.x_star,
+                              stop_tol=1e-4)
+        without = run_amp(sym_op, b_op, masks, traj, start, stop_tol=1e-4)
         assert 2 <= with_labels.n_steps < 100
         assert without.n_steps == with_labels.n_steps
         np.testing.assert_array_equal(without.x_hat, with_labels.x_hat)
@@ -287,23 +287,32 @@ class TestRunAmp:
         n, p = 8, 5
         _, _, _, masks, sym_op, b_op, traj = small_instance(n, p)
         with pytest.raises(ValueError, match="stop_tol"):
-            run_amp(sym_op, b_op, masks, traj, n_iter=3,
-                    init=init_state(np.zeros(n), masks, traj, p), stop_tol=tol)
+            run_amp(sym_op, b_op, masks, traj, np.zeros(n), stop_tol=tol)
 
-    def test_trajectory_length_guard(self):
+    def test_trajectory_length_caps_the_steps(self):
+        # the schedule's coefficients run out after len(traj) - 1 steps,
+        # so that is where a run without a stop ends
         n, p = 8, 5
         _, _, _, masks, sym_op, b_op, traj = small_instance(n, p)
-        with pytest.raises(ValueError):
-            run_amp(sym_op, b_op, masks, traj, n_iter=len(traj),
-                    init=init_state(np.zeros(n), masks, traj, p))
+        out = run_amp(sym_op, b_op, masks, traj, np.zeros(n))
+        assert out.n_steps == len(traj) - 1 == 12
+        assert out.self_overlap.size == len(traj)
 
     def test_init_is_required(self):
         # the zero start is a fixed point at eps = 0 (test_zero_fixed_point),
         # so a missing start must fail rather than return x_hat = 0
         n, p = 8, 5
         _, _, _, masks, sym_op, b_op, traj = small_instance(n, p)
-        with pytest.raises(TypeError, match="init"):
-            run_amp(sym_op, b_op, masks, traj, n_iter=3)
+        with pytest.raises(TypeError, match="start"):
+            run_amp(sym_op, b_op, masks, traj)
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (9,), (8, 1)])
+    def test_start_of_the_wrong_shape_is_rejected(self, shape):
+        # a length-1 start would broadcast to every coordinate and run
+        n, p = 8, 5
+        _, _, _, masks, sym_op, b_op, traj = small_instance(n, p)
+        with pytest.raises(ValueError, match="length-8"):
+            run_amp(sym_op, b_op, masks, traj, np.full(shape, 0.3))
 
     def test_sign_flip_invariance(self):
         # flipping the initializer flips every unrevealed iterate exactly
@@ -315,15 +324,11 @@ class TestRunAmp:
         masks = sample_revelation(lab, cov.v_star, 0.0, substream(23, 3))
         sym_op = DenseSymmetricOperator(surr.T, denom=np.sqrt(n))
         b_op = RectOperator(cov.B)
-        traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=0.0, t_max=7))
+        traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=0.0, t_max=5))
         vec = spectral_initialize(sym_op, b_op, solve_a0(lam, mu, n / p),
                                   substream(23, 4), tol=1e-6)
-        out_plus = run_amp(sym_op, b_op, masks, traj, n_iter=5,
-                           init=init_state(vec, masks, traj, p),
-                           x_star=lab.x_star)
-        out_minus = run_amp(sym_op, b_op, masks, traj, n_iter=5,
-                            init=init_state(-vec, masks, traj, p),
-                            x_star=lab.x_star)
+        out_plus = run_amp(sym_op, b_op, masks, traj, vec, x_star=lab.x_star)
+        out_minus = run_amp(sym_op, b_op, masks, traj, -vec, x_star=lab.x_star)
         np.testing.assert_array_equal(out_minus.x_hat, -out_plus.x_hat)
         assert (empirical_mse(out_minus.x_hat, lab.x_star)
                 == empirical_mse(out_plus.x_hat, lab.x_star))
@@ -334,14 +339,13 @@ class TestRunAmp:
         cov = sample_covariates(lab, mu, p, substream(24, 1))
         surr = sample_gaussian_surrogate(lab, lam, substream(24, 2))
         masks = sample_revelation(lab, cov.v_star, eps, substream(24, 3))
-        traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=eps, t_max=4))
+        traj = se_run(SeConfig(lam=lam, mu=mu, c=n / p, eps=eps, t_max=3))
 
         def final_q(T, B, x0, mask_x):
             mm = RevelationMasks(eps=eps, x0=x0, mask_x=mask_x,
                                  v0=masks.v0, mask_v=masks.mask_v)
             sym = DenseSymmetricOperator(T, denom=np.sqrt(n))
-            return run_amp(sym, RectOperator(B), mm, traj, n_iter=3,
-                           init=init_state(np.zeros(n), mm, traj, p)).x_hat
+            return run_amp(sym, RectOperator(B), mm, traj, np.zeros(n)).x_hat
 
         # float64 copies: a float32 product summed in another order differs
         # by float32 round-off, far above the 1e-10 this test resolves
@@ -355,30 +359,26 @@ class TestRunAmp:
 
 class TestSolveA0:
     def test_rhs_vanishes_at_origin(self):
-        from mvamp.amp import _a0_rhs
         for lam, mu, c in [(1.0, 1.0, 1.0), (3.0, 0.5, 2.0)]:
-            assert _a0_rhs(0.0, lam, mu, c) == 0.0
+            assert a0_rhs(0.0, lam, mu, c) == 0.0
 
     def test_residual(self):
-        from mvamp.amp import _a0_rhs
         a0 = solve_a0(1.0, 1.0, 1.0)
-        assert abs(_a0_rhs(a0, 1.0, 1.0, 1.0) - 1.0) < 1e-10
+        assert abs(a0_rhs(a0, 1.0, 1.0, 1.0) - 1.0) < 1e-10
 
     def test_monotone_rhs_on_bracket(self):
-        from mvamp.amp import _a0_rhs
         for lam, mu, c in [(0.5, 0.5, 0.5), (2.0, 1.5, 1.0), (4.0, 0.3, 3.0)]:
             a_star = solve_a0(lam, mu, c)
             grid = np.linspace(0.0, 2 * a_star, 50)
-            vals = [_a0_rhs(a, lam, mu, c) for a in grid]
+            vals = [a0_rhs(a, lam, mu, c) for a in grid]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_residual_grid(self):
-        from mvamp.amp import _a0_rhs
         for lam in np.linspace(0.5, 4.5, 5):
             for mu in np.linspace(0.3, 2.0, 5):
                 for c in (0.5, 1.0, 2.5):
                     a0 = solve_a0(lam, mu, c)
-                    assert abs(_a0_rhs(a0, lam, mu, c) - mu / (c * lam)) < 1e-10
+                    assert abs(a0_rhs(a0, lam, mu, c) - mu / (c * lam)) < 1e-10
 
     def test_matches_high_precision_root(self):
         mpmath = pytest.importorskip("mpmath")
@@ -389,7 +389,7 @@ class TestSolveA0:
             lam, mu, c = mp.mpf(lam), mp.mpf(mu), mp.mpf(c)
             target = mu / (c * lam)
 
-            def f(a):  # _a0_rhs(a) - target at 50 digits
+            def f(a):  # a0_rhs(a) - target at 50 digits
                 s = lam + (c + mu) * a * a
                 return (-lam + (c + mu) * a * a
                         + mp.sqrt(s * s - 4 * lam * c * a * a)) / (2 * mu) - target
@@ -407,11 +407,22 @@ class TestSolveA0:
                     exact = mp_root(lam, mu, c)
                     assert abs(solve_a0(lam, mu, c) - exact) <= 1e-14 * exact
 
-    def test_degenerate_signals_rejected(self):
+    def test_absent_signal_picks_the_other_source(self):
+        # the weight equation's own limits: a0 -> 0 as mu -> 0 (network
+        # only), a0 -> inf as lam -> 0 (covariates only); with neither
+        # signal the start is the network's
+        for lam, mu, c in [(2.0, 0.9, 1.0), (0.5, 3.0, 2.5)]:
+            assert solve_a0(lam, 0.0, c) == 0.0
+            assert solve_a0(0.0, mu, c) == math.inf
+            assert solve_a0(0.0, 0.0, c) == 0.0
+            assert solve_a0(1e-9, mu, c) > 1e3
+            assert solve_a0(lam, 1e-9, c) < 1e-3
+
+    @pytest.mark.parametrize("lam,mu,c", [(-1.0, 1.0, 1.0), (1.0, -1.0, 1.0),
+                                          (float("nan"), 1.0, 1.0), (1.0, 1.0, 0.0)])
+    def test_out_of_domain_rejected(self, lam, mu, c):
         with pytest.raises(ValueError):
-            solve_a0(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            solve_a0(1.0, 0.0, 1.0)
+            solve_a0(lam, mu, c)
 
 
 class TestSpectralInitialize:

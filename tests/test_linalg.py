@@ -236,14 +236,13 @@ class TestLeadingEigenpair:
 
 class TestComposeSpectralOperator:
     def test_zero_weight_is_plain_operator(self):
-        # an absent B or a0 = 0 gives T's product, bit for bit
+        # a0 = 0, the weight at mu = 0, gives T's product, bit for bit
         t_op = DenseSymmetricOperator(random_symmetric(12, 12))
         b_op = RectOperator(np.random.default_rng(13).standard_normal((9, 12)))
         v = np.random.default_rng(14).standard_normal(12)
-        for b, a0 in ((b_op, 0.0), (None, 0.0), (None, 0.5)):
-            composed = ComposedSpectralOperator(t_op, b, a0)
-            np.testing.assert_array_equal(composed.matvec(v), t_op.matvec(v))
-            assert composed.n == 12
+        composed = ComposedSpectralOperator(t_op, b_op, 0.0)
+        np.testing.assert_array_equal(composed.matvec(v), t_op.matvec(v))
+        assert composed.n == 12
         zero_b = RectOperator(np.zeros((9, 12)))
         np.testing.assert_allclose(
             ComposedSpectralOperator(t_op, zero_b, 0.5).matvec(v),
@@ -264,11 +263,23 @@ class TestComposeSpectralOperator:
                 np.testing.assert_allclose(op.matvec(v), dense @ v, atol=1e-12)
 
     def test_pure_gram_mode(self):
+        # a0 = inf, the weight at lambda = 0, gives the Gram map alone, bit
+        # for bit, whatever T holds
         rng = np.random.default_rng(16)
         b = rng.standard_normal((8, 14))
-        op = ComposedSpectralOperator(None, RectOperator(b), 1.0)
+        b_op = RectOperator(b)
+        t_op = DenseSymmetricOperator(random_symmetric(14, 19))
+        op = ComposedSpectralOperator(t_op, b_op, np.inf)
         v = rng.standard_normal(14)
+        np.testing.assert_array_equal(op.matvec(v), b_op.gram(v))
         np.testing.assert_allclose(op.matvec(v), (b.T @ b) @ v / 8, atol=1e-12)
+
+    @pytest.mark.parametrize("a0", [-5.0, -1e-300, np.nan, -np.inf])
+    def test_rejects_negative_or_nan_weight(self, a0):
+        t_op = DenseSymmetricOperator(np.eye(5))
+        b_op = RectOperator(np.ones((3, 5)))
+        with pytest.raises(ValueError, match="a0"):
+            ComposedSpectralOperator(t_op, b_op, a0)
 
     @pytest.mark.parametrize("p", [1, 127, 128, 129, 300])
     def test_fused_gram_matches_the_two_products(self, p):
@@ -280,11 +291,10 @@ class TestComposeSpectralOperator:
         t_op = DenseSymmetricOperator(random_symmetric(n, 18).astype(np.float32),
                                       denom=np.sqrt(n))
         v = rng.standard_normal(n)
-        for sym in (t_op, None):
-            expected = a0 * b_op.apply_t(b_op.apply(v))
-            if sym is not None:
-                expected = expected + sym.matvec(v)
-            out = ComposedSpectralOperator(sym, b_op, a0).matvec(v)
+        two_products = b_op.apply_t(b_op.apply(v))
+        for weight, expected in ((a0, t_op.matvec(v) + a0 * two_products),
+                                 (np.inf, two_products)):
+            out = ComposedSpectralOperator(t_op, b_op, weight).matvec(v)
             assert np.linalg.norm(out - expected) <= 1e-6 * np.linalg.norm(expected)
 
     def test_dimension_mismatch(self):
