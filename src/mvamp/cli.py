@@ -359,8 +359,7 @@ def cmd_simulate(s: dict[str, Any]) -> int:
               [[a.lam, a.mu, a.wall_time_s, a.mean_steps, a.capped] for a in aggs])
 
     if s["svg"]:
-        x = np.array([a.lam if cfg.sweep_param == "lambda" else a.mu for a in aggs])
-        svg_plot(out / "plot.svg", x,
+        svg_plot(out / "plot.svg", np.array(cfg.grid, dtype=float),
                  np.array([a.theory_mmse for a in aggs]),
                  np.array([a.mean_mse for a in aggs]),
                  np.array([0.0 if np.isnan(a.sd_mse) else a.sd_mse for a in aggs]),

@@ -106,7 +106,9 @@ class ExperimentConfig:
     """One sweep definition.
 
     The swept parameter (``sweep_param``) runs over ``grid`` while the
-    other of (lambda, mu) is held at ``fixed_value``.  ``eps`` in [0, 1]
+    other of (lambda, mu) is held at ``fixed_value``; :meth:`point` gives
+    grid point i as the :class:`~mvamp.state_evolution.SeConfig` that its
+    replicates and theory column read.  ``eps`` in [0, 1]
     picks the start: 0 runs the spectral start; > 0 starts from zero
     iterates with that fraction revealed.  ``n_iter`` caps the iteration,
     which ends earlier once the label-free MSE estimate 1 - s^2 (s the
@@ -185,21 +187,21 @@ class ExperimentConfig:
     def c(self) -> float:
         return self.n / self.p
 
-    def point(self, value: float) -> tuple[float, float]:
-        """(lambda, mu) at one grid value."""
-        if self.sweep_param == "lambda":
-            return float(value), float(self.fixed_value)
-        return float(self.fixed_value), float(value)
+    def point(self, index: int) -> SeConfig:
+        """Grid point ``index``: its strengths (``grid[index]`` for the swept
+        one, ``fixed_value`` for the other), c = n / p, eps and the schedule
+        length ``t_max = n_iter``."""
+        value, fixed = float(self.grid[index]), float(self.fixed_value)
+        lam, mu = (value, fixed) if self.sweep_param == "lambda" else (fixed, value)
+        return SeConfig(lam=lam, mu=mu, c=self.c, eps=self.eps, t_max=self.n_iter)
 
 
 @dataclass(frozen=True)
 class ReplicateResult:
-    """Metrics of one replicate; deterministic in (config, point, index),
-    except ``wall_time``.  ``n_steps`` is the number of iteration steps
-    taken, at most ``n_iter``."""
+    """Metrics of one replicate; deterministic in (config, point index,
+    replicate index), except ``wall_time``.  ``n_steps`` is the number of
+    iteration steps taken, at most ``n_iter``."""
 
-    point_index: int
-    replicate_index: int
     empirical_mse: float
     empirical_overlap: float
     overlap_trajectory: np.ndarray
@@ -243,34 +245,29 @@ class ReplicateInstance:
     masks: RevelationMasks
 
 
-def _layer_specs(cfg: ExperimentConfig) -> list[tuple[float, float]]:
-    """(strength fraction r_i, density coefficient) of each network layer."""
-    return list(zip(cfg.r_fractions, cfg.p_bar_coeffs))
-
-
 def draw_instance(cfg: ExperimentConfig, point_index: int,
                   rep_index: int) -> ReplicateInstance:
     """Sample the instance of one replicate, each object from its own substream."""
     n = cfg.n
-    lam, mu = cfg.point(cfg.grid[point_index])
+    pt = cfg.point(point_index)
 
     def rng(tag):
         return substream(cfg.seed, point_index, rep_index, tag)
 
     labels = sample_labels(n, rng(_STREAM_LABELS))
-    cov = sample_covariates(labels, mu, cfg.p, rng(_STREAM_COVARIATES))
+    cov = sample_covariates(labels, pt.mu, cfg.p, rng(_STREAM_COVARIATES))
     if cfg.family == "gaussian":
-        network = sample_gaussian_surrogate(labels, lam, rng(_STREAM_SURROGATE))
+        network = sample_gaussian_surrogate(labels, pt.lam, rng(_STREAM_SURROGATE))
     else:
         network = []
-        for i, (r_i, coeff) in enumerate(_layer_specs(cfg)):
+        for i, (r_i, coeff) in enumerate(zip(cfg.r_fractions, cfg.p_bar_coeffs)):
             p_bar = coeff / np.sqrt(n)
             if n * p_bar < 10.0:
                 warnings.warn(
                     f"layer {i}: average degree {n * p_bar:.2f} < 10; the "
                     "dense-limit theory may be inaccurate at this scale",
                     stacklevel=2)
-            params = rates_from_lambda(r_i * lam, p_bar, n)
+            params = rates_from_lambda(r_i * pt.lam, p_bar, n)
             network.append(sample_sbm_layer(labels, params, rng(_STREAM_LAYER_BASE + i)))
     masks = sample_revelation(labels, cov.v_star, cfg.eps, rng(_STREAM_MASKS))
     return ReplicateInstance(labels=labels, covariates=cov, network=network, masks=masks)
@@ -289,7 +286,7 @@ def run_replicate(cfg: ExperimentConfig, point_index: int, rep_index: int) -> Re
     surrogate's ``ssymv`` splits its sums by the thread count).
     """
     t_start = time.perf_counter()
-    lam, mu = cfg.point(cfg.grid[point_index])
+    pt = cfg.point(point_index)
     inst = draw_instance(cfg, point_index, rep_index)
     b_op = RectOperator(inst.covariates.B)
     if cfg.family == "gaussian":
@@ -298,23 +295,21 @@ def run_replicate(cfg: ExperimentConfig, point_index: int, rep_index: int) -> Re
         # sqrt(lambda_i / lambda) = sqrt(r_i): the fractions alone fix the
         # weights, which keeps the combination well defined at lam = 0 as well.
         sym_op = combine_layers([center_scale_layer(layer) for layer in inst.network],
-                                [r_i for r_i, _ in _layer_specs(cfg)])
+                                cfg.r_fractions)
 
     # run_amp takes at most as many steps as the schedule holds: n_iter.
-    traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=cfg.eps, t_max=cfg.n_iter))
+    traj = se_run(pt)
 
     if cfg.eps > 0.0:
         start = np.zeros(cfg.n)
     else:
         rng = substream(cfg.seed, point_index, rep_index, _STREAM_INIT)
-        start = spectral_initialize(sym_op, b_op, solve_a0(lam, mu, cfg.c), rng)
+        start = spectral_initialize(sym_op, b_op, solve_a0(pt.lam, pt.mu, pt.c), rng)
 
     x_star = inst.labels.x_star
     result = run_amp(sym_op, b_op, inst.masks, traj, start, x_star=x_star,
                      stop_tol=cfg.stop_tol)
     return ReplicateResult(
-        point_index=point_index,
-        replicate_index=rep_index,
         empirical_mse=empirical_mse(result.x_hat, x_star),
         empirical_overlap=empirical_overlap(result.x_hat, x_star),
         overlap_trajectory=result.overlap,
@@ -362,16 +357,16 @@ def run_sweep(cfg: ExperimentConfig) -> list[AggregateResult]:
     outcomes = dict(zip(tasks, _map_replicates(run_one, tasks, cfg.threads)))
 
     aggregates = []
-    for i, value in enumerate(cfg.grid):
-        lam, mu = cfg.point(value)
+    for i in range(len(cfg.grid)):
+        pt = cfg.point(i)
         errors = []
         try:
-            theory_mmse = limit_mmse(lam, mu, cfg.c, cfg.eps)
+            theory_mmse = limit_mmse(pt.lam, pt.mu, pt.c, pt.eps)
         except MvampError as exc:
             theory_mmse = np.nan
             errors.append(f"theory: {type(exc).__name__}: {exc}")
         agg = AggregateResult(
-            family=cfg.family, n=cfg.n, p=cfg.p, lam=lam, mu=mu, c=cfg.c,
+            family=cfg.family, n=cfg.n, p=cfg.p, lam=pt.lam, mu=pt.mu, c=pt.c,
             replicates=cfg.replicates, theory_mmse=theory_mmse)
         point = [outcomes[(i, r)] for r in range(cfg.replicates)]
         point_results = [o for o in point if isinstance(o, ReplicateResult)]
@@ -434,9 +429,8 @@ def run_se_check(cfg: ExperimentConfig) -> SeCheckReport:
     average their overlap trajectories step by step.  The recursion counts
     the revealed spike coordinates as the algorithm does (see the state
     evolution module docstring)."""
-    lam, mu = cfg.point(cfg.grid[0])
     # The theory runs at the realized ratio n / p.
-    traj = se_run(SeConfig(lam=lam, mu=mu, c=cfg.c, eps=cfg.eps, t_max=cfg.n_iter))
+    traj = se_run(cfg.point(0))
     trajs = _map_replicates(lambda rep: run_replicate(cfg, 0, rep).overlap_trajectory,
                             range(cfg.replicates), cfg.threads)
     t_max = cfg.n_iter

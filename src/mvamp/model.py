@@ -87,12 +87,6 @@ def substream(root_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=tuple(path)))
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 @dataclass(frozen=True)
 class CommunityLabels:
     """Ground-truth group assignment, one +-1 entry per subject."""
@@ -114,7 +108,7 @@ def sample_labels(n: int, rng) -> CommunityLabels:
     """n i.i.d. uniform +-1 labels."""
     if n < 1:
         raise ValueError(f"need at least one subject, got n={n}")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     x = rng.integers(0, 2, size=n) * 2.0 - 1.0
     return CommunityLabels(x_star=x)
 
@@ -215,7 +209,7 @@ def sample_sbm_layer(x_star: CommunityLabels, params: LayerParams, rng) -> SbmLa
     p_in, p_out = params.a_n / n, params.b_n / n
     from scipy import sparse
 
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     # int32 vertex indices (n < 2^31) give the adjacency int32 indices and
     # indptr: 12 B per stored entry instead of 16.
     plus = np.flatnonzero(x_star.x_star > 0).astype(np.int32)
@@ -385,7 +379,7 @@ def sample_covariates(x_star: CommunityLabels, mu: float, p: int, rng) -> Covari
         raise ValueError(f"spike strength must be nonnegative, got {mu}")
     if p < 1:
         raise ValueError(f"need at least one covariate, got p={p}")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     n = x_star.n
     v_star = rng.standard_normal(p)
     scaled = (np.sqrt(mu / n) * v_star).astype(np.float32)
@@ -427,7 +421,7 @@ def sample_gaussian_surrogate(x_star: CommunityLabels, lam: float, rng) -> Gauss
     """
     if lam < 0.0:
         raise ValueError(f"signal strength must be nonnegative, got {lam}")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     n = x_star.n
     x = x_star.x_star.astype(np.float32)
     scaled = np.float32(np.sqrt(lam / n)) * x
@@ -474,7 +468,7 @@ def sample_revelation(x_star: CommunityLabels, v_star: np.ndarray, eps: float,
                       rng) -> RevelationMasks:
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"revelation fraction must lie in [0, 1], got {eps}")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     mask_x = rng.random(x_star.n) < eps
     mask_v = rng.random(v_star.size) < eps
     x0 = np.where(mask_x, x_star.x_star, 0.0)

@@ -171,7 +171,7 @@ def detection_possible(lam: float, mu: float, c: float) -> bool:
     """Whether estimation beats random guessing: lam + mu^2 / c > 1 (strict)."""
     if lam < 0 or mu < 0 or c <= 0:
         raise ValueError("need lam >= 0, mu >= 0, c > 0")
-    return lam + mu ** 2 / c > 1.0
+    return lam + mu * mu / c > 1.0
 
 
 def _xi(z: float, cfg: SeConfig) -> float:

@@ -43,6 +43,13 @@ class TestTheoryCommand:
         row = (out / "theory.csv").read_text().splitlines()[1].split(",")
         assert row[3] == "0" and row[6] == "0"  # z_star and xi
 
+    def test_finite_mu_whose_square_overflows(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("theory", "--lambda-grid", "0", "--mu-grid", "1e200", "--c", "1",
+                       "--out-dir", str(out)) == 0
+        row = (out / "theory.csv").read_text().splitlines()[1]
+        assert row == "0,1e+200,1,1,0,true,0.69314718056"
+
     def test_grid_enumeration_order(self, tmp_path):
         out = tmp_path / "o"
         run_cli("theory", "--lambda-grid", "0,1,2", "--mu-grid", "0,0.5,1",

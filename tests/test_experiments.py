@@ -291,6 +291,35 @@ class TestRunSweep:
         assert err.value.lambda_max == pytest.approx(20.3014, abs=1e-4)
 
 
+class TestGridPoint:
+    @pytest.mark.parametrize("sweep, lam, mu", [("lambda", 2.5, 0.9), ("mu", 0.9, 2.5)])
+    def test_point_is_the_se_config_of_its_grid_value(self, sweep, lam, mu):
+        cfg = small_cfg(sweep_param=sweep, grid=(1.0, 2.5), fixed_value=0.9, eps=0.2,
+                        n_iter=7)
+        assert cfg.point(1) == SeConfig(lam=lam, mu=mu, c=250 / 150, eps=0.2, t_max=7)
+
+    @pytest.mark.parametrize("family, layers", [
+        ("gaussian", {}),
+        ("multilayer", dict(m=2, r_fractions=(0.6, 0.4), p_bar_coeffs=(0.7, 0.6))),
+    ])
+    def test_every_random_stream_of_a_sweep_is_distinct(self, monkeypatch, family, layers):
+        # Each substream, and each block child that the covariate and
+        # surrogate samplers spawn from one, must be a stream of its own.
+        made = []
+        real = experiments.substream
+        monkeypatch.setattr(experiments, "substream",
+                            lambda *path: made.append(real(*path)) or made[-1])
+        run_sweep(small_cfg(family=family, n=400, p=240, grid=(2.0, 3.0), replicates=2,
+                            n_iter=5, **layers))
+        keys = []
+        for g in made:
+            seq = g.bit_generator.seed_seq
+            keys.append(seq.spawn_key)
+            keys += [seq.spawn_key + (k,) for k in range(seq.n_children_spawned)]
+        assert len(keys) > len(made)
+        assert len(set(keys)) == len(keys)
+
+
 class TestBlasPin:
     """run_sweep holds numpy's OpenBLAS at one thread while its replicates run
     and puts the previous counts back however it ends; run_replicate holds

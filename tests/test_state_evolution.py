@@ -193,6 +193,9 @@ class TestLimits:
         assert not detection_possible(0.0, 1.0, 1.001)
         assert detection_possible(0.0, 1.0, 0.999)
 
+    def test_detection_at_a_finite_mu_whose_square_overflows(self):
+        assert detection_possible(0.0, 1e200, 1.0)
+
 
 class TestXi:
     def test_no_signal_is_zero(self):
